@@ -13,12 +13,13 @@ from .oracle import alpha_exact, AlphaResult
 from .errors import (
     BudgetExceededError,
     InputFormatError,
+    InternalCheckError,
     PatternViolationError,
     UnsupportedPatternError,
 )
 from .ramsey import ramsey_bound, ramsey_multicolor_bound, ramsey_extract, eh_extract, RamseyOutcome
 from .cluster import solve_cluster_free
-from .solver import solve_hfree, SolveOutcome
+from .solver import solve_hfree, solve_paper, SolveConfig, SolveOutcome
 from .kernelize import kernel_krfree, kernel_paw_like, turing_kernel_star, solve_via_turing, KernelResult
 from .hardness import GridTiling, gen_grid_tiling, build_construction, lift_solution, project_solution, verify_exclusions, or_compose
 from .classify import verdict, Verdict, find_clique_decomposition, join_factors, np_hard_connected
@@ -27,9 +28,9 @@ __all__ = [
     "Graph", "complement", "join", "disjoint_union", "random_graph",
     "HPattern", "pattern", "find_induced",
     "alpha_exact", "AlphaResult",
-    "BudgetExceededError", "InputFormatError", "PatternViolationError", "UnsupportedPatternError",
+    "BudgetExceededError", "InputFormatError", "InternalCheckError", "PatternViolationError", "UnsupportedPatternError",
     "ramsey_bound", "ramsey_multicolor_bound", "ramsey_extract", "eh_extract", "RamseyOutcome",
-    "solve_cluster_free", "solve_hfree", "SolveOutcome",
+    "solve_cluster_free", "solve_hfree", "solve_paper", "SolveConfig", "SolveOutcome",
     "kernel_krfree", "kernel_paw_like", "turing_kernel_star", "solve_via_turing", "KernelResult",
     "GridTiling", "gen_grid_tiling", "build_construction", "lift_solution", "project_solution",
     "verify_exclusions", "or_compose",

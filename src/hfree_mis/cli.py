@@ -2,12 +2,16 @@
 
 Exit codes: 0 completed, 1 input error, 2 budget exceeded.  Every report
 carries the seed it ran under; identical seed and flags give identical
-output.  The default seed comes from HFREE_MIS_SEED.
+output.  The default seed comes from HFREE_MIS_SEED, read when a command
+runs.  ``solve`` decides with the greedy bound plus the exact oracle
+(``--mode exact``) or runs the paper's pipeline as a reproduction
+(``--mode desk|faithful``).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -20,7 +24,7 @@ from .io import emit_graph, parse_graph
 from .kernelize import kernel_krfree, kernel_paw_like, turing_kernel_star
 from .oracle import alpha_exact
 from .patterns import parse_pattern
-from .solver import SolveConfig, solve_hfree
+from .solver import SolveConfig, solve_hfree, solve_paper
 
 
 def _read_graph(path: str) -> Graph:
@@ -36,7 +40,9 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    if args.seed is not None:
+        return args.seed
     return int(os.environ.get("HFREE_MIS_SEED", "0"))
 
 
@@ -51,12 +57,17 @@ def cmd_oracle(args) -> int:
 
 def cmd_solve(args) -> int:
     g = _read_graph(args.input)
-    config = SolveConfig(faithful=args.mode == "faithful",
-                         separation_rounds=args.repetitions,
-                         gem_rounds=max(1, args.repetitions // 32),
-                         budget=args.budget)
-    out = solve_hfree(g, args.k, parse_pattern(args.pattern), seed=args.seed, config=config)
-    print(f"seed = {args.seed}")
+    seed = _seed(args)
+    h = parse_pattern(args.pattern)
+    if args.mode == "exact":
+        out = solve_hfree(g, args.k, h, seed=seed, config=SolveConfig(budget=args.budget))
+    else:
+        config = SolveConfig(faithful=args.mode == "faithful",
+                             separation_rounds=args.repetitions,
+                             gem_rounds=max(1, args.repetitions // 32),
+                             budget=args.budget)
+        out = solve_paper(g, args.k, h, seed=seed, config=config)
+    print(f"seed = {seed}")
     print(f"method = {out.method}")
     decision = "yes" if out.decision else "no"
     print(f"independent set of size {args.k}: {decision}")
@@ -111,12 +122,13 @@ def cmd_classify(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    rng = random.Random(args.seed)
+    seed = _seed(args)
+    rng = random.Random(seed)
     if args.kind == "gridtiling":
         gt, solution = gen_grid_tiling(args.k, args.m, args.nt, args.planted, rng)
         out = build_construction(gt, args.variant, args.p)
         comments = [
-            f"seed {args.seed}",
+            f"seed {seed}",
             f"grid tiling k={gt.k} m={gt.m} tile size={gt.tile_size}",
             f"variant {out.variant} p={out.p} target independent set k'={out.k_prime}",
         ]
@@ -155,9 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--mode", choices=("desk", "faithful"), default="desk")
-    p.add_argument("--repetitions", type=int, default=256)
+    p.add_argument("--seed", type=int, help="default: HFREE_MIS_SEED, else 0")
+    p.add_argument("--mode", choices=("exact", "desk", "faithful"), default="exact",
+                   help="exact: greedy bound, then the exact oracle under --budget (default); "
+                        "desk, faithful: the paper's pipeline as a reproduction, "
+                        "with desk-mode caps or faithful thresholds (k <= 2)")
+    p.add_argument("--repetitions", type=int, default=256,
+                   help="randomised rounds of the desk and faithful modes")
     p.add_argument("--budget", type=int, default=10_000_000)
     p.set_defaults(func=cmd_solve)
 
@@ -181,16 +197,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("first", "second", "third"), default="first")
     p.add_argument("--p", type=int, default=1)
     p.add_argument("--planted", action="store_true")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, help="default: HFREE_MIS_SEED, else 0")
     p.add_argument("--inputs", nargs="*", default=[])
     p.add_argument("--output")
     p.set_defaults(func=cmd_generate)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than
+    deciding a typical instance."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

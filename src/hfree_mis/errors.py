@@ -26,6 +26,11 @@ class BudgetExceededError(Exception):
         super().__init__(f"search budget exceeded ({nodes_used} nodes, limit {budget})")
 
 
+class InternalCheckError(Exception):
+    """A soundness check inside the package failed: a bug, never a property
+    of the input.  Raised explicitly, so the check survives ``python -O``."""
+
+
 class UnsupportedPatternError(Exception):
     """The requested pattern H is outside the supported solver families."""
 

@@ -140,10 +140,6 @@ def _gadget_layout(p: int):
     return keys, arcs
 
 
-_PORT = {"top": ("path", "top", 0), "right": ("path", "right", None),
-         "bottom": ("path", "bottom", None), "left": ("path", "left", 0)}
-
-
 def _port_key(d: str, p: int):
     if d in ("top", "left"):
         return ("path", d, 0)

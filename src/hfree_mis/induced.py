@@ -78,10 +78,6 @@ def find_induced(g: Graph, h: HPattern | Graph, cap: int = PATTERN_CAP) -> dict[
     return place(0)
 
 
-def contains_induced(g: Graph, h: HPattern | Graph) -> bool:
-    return find_induced(g, h) is not None
-
-
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Graph isomorphism for small graphs, as an equal-size induced embedding."""
     if g1.n != g2.n or g1.edge_count() != g2.edge_count():

@@ -27,9 +27,6 @@ from itertools import combinations, product
 from .graph import Graph, bits, mask_of
 from .ramsey import ramsey_multicolor_bound
 
-RELATIONS = ("empty", "full", "semi_asc", "semi_desc")
-
-
 def classify_relation(g: Graph, ca: tuple[int, ...], cb: tuple[int, ...]) -> str | None:
     """Match the adjacency between two ordered cliques against the four
     allowed shapes, edge by edge."""

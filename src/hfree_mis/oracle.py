@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InternalCheckError
 from .graph import Graph, bits
 
 DEFAULT_BUDGET = 10_000_000
@@ -90,14 +90,9 @@ def alpha_exact(g: Graph, budget: int = DEFAULT_BUDGET, cover: list[int] | None 
         search(cands & ~cls, chosen, chosen_count)
 
     search(g.full_mask, 0, 0)
-    witness = tuple(bits(best_mask))
-    assert g.is_independent_mask(best_mask)
-    return AlphaResult(best, witness, nodes)
-
-
-def alpha_decision(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
-    """Does G have an independent set of size >= k?"""
-    return alpha_exact(g, budget).alpha >= k
+    if not g.is_independent_mask(best_mask):
+        raise InternalCheckError(f"oracle witness {tuple(bits(best_mask))} is not independent")
+    return AlphaResult(best, tuple(bits(best_mask)), nodes)
 
 
 def enumerate_independent_sets(g: Graph, mask: int | None = None):

@@ -1,12 +1,23 @@
-"""Dispatch solver for Maximum Independent Set in H-free graphs.
+"""Maximum Independent Set in H-free graphs: the exact decision core and the
+paper's pipeline as a reproduction.
 
-Routes the supported pattern families:
+``solve_hfree`` recognises H first and raises ``UnsupportedPatternError``
+outside the supported families (disjoint unions of cliques; a clique minus
+one edge, a two-leaf star, a triangle, a complete bipartite graph or a
+star K_{1,r-2}; the gem).  Three-vertex-path-free inputs are decided by
+counting components.  Every other supported family is decided in two
+steps: a greedy independent set answers yes when it reaches k, and
+otherwise the exact oracle ``alpha_exact`` decides under
+``SolveConfig.budget``.  Every yes carries a witness of k vertices that is
+checked before it is returned.
+
+``solve_paper`` runs the paper's pipeline per family:
 
 * disjoint unions of cliques -> the cluster-free enumeration solver;
 * a clique minus one edge, or minus a two-leaf star -> kernelize, then
   decide the bounded kernel exactly;
 * a clique with a pendant vertex removed (K_r - K_{1,r-2}) -> the Turing
-  kernel driver;
+  kernel driver (no witness);
 * a clique minus a triangle, minus a complete bipartite graph, or the gem
   -> iterative expansion: accumulate disjoint size-(k-1) independent sets,
   run the Ramsey extraction stage, hand structured instances to the
@@ -17,7 +28,8 @@ the structured stage runs under desk-mode caps and the driver closes every
 undecided branch by sound vertex branching; decisions are therefore exact
 (never a false yes or a false no), while the structured machinery is still
 exercised whenever the caps allow.  Faithful thresholds are available for
-k <= 2.
+k <= 2.  The pipeline is a reproduction, not the decision path: on every
+benchmarked family it is slower than the exact core.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ import random
 from dataclasses import dataclass, field
 
 from .cluster import solve_cluster_free
-from .errors import UnsupportedPatternError
+from .errors import InternalCheckError, PatternViolationError, UnsupportedPatternError
 from .faug import (
     solve_faug_clique_minus_bipartite,
     solve_faug_clique_minus_triangle,
@@ -36,20 +48,22 @@ from .graph import Graph, bits
 from .induced import find_induced, is_isomorphic
 from .iterexp import StageConfig, StageOutcome, g_faithful, iterexp_driver, ramsey_extraction_stage
 from .kernelize import kernel_paw_like, solve_via_turing
-from .oracle import alpha_exact
-from .patterns import HPattern, path, pattern, recognize_family
-from .errors import PatternViolationError
+from .oracle import DEFAULT_BUDGET, alpha_exact, greedy_independent_set
+from .patterns import FamilyMatch, HPattern, path, pattern, recognize_family
 
 
 @dataclass
 class SolveConfig:
+    """``solve_hfree`` reads only ``budget``; the other fields tune
+    ``solve_paper``."""
+
     faithful: bool = False
     extra_seed_sets: int = 2          # batch size above f(k) in desk mode
     stage: StageConfig = field(default_factory=StageConfig)
     separation_rounds: int = 256
     gem_rounds: int = 8
     part_threshold: int | None = None  # override the small-part branching bound
-    budget: int = 10_000_000
+    budget: int = DEFAULT_BUDGET
 
 
 @dataclass
@@ -66,22 +80,63 @@ def solve_hfree(g: Graph, k: int, h: HPattern | Graph | str, seed: int = 0,
                 config: SolveConfig | None = None) -> SolveOutcome:
     """Decide whether G has an independent set of size k, given that G is
     H-free for a supported pattern H.  Unsupported patterns raise, never
-    fall back silently."""
-    config = config or SolveConfig()
+    fall back silently.  ``method`` is ``greedy`` or ``exact``, naming the
+    step that decided."""
+    budget = config.budget if config else DEFAULT_BUDGET
+    if _recognize(h) is None:
+        out = _solve_p3_free(g, k, seed)
+    else:
+        greedy = greedy_independent_set(g)
+        if greedy.bit_count() >= k:
+            out = SolveOutcome(True, tuple(bits(greedy))[:max(k, 0)], k, "greedy", seed)
+        else:
+            exact = alpha_exact(g, budget)
+            yes = exact.alpha >= k
+            out = SolveOutcome(yes, exact.witness[:k] if yes else (), k, "exact", seed)
+    if out.decision and (len(set(out.witness)) < k or not g.is_independent_set(out.witness)):
+        raise InternalCheckError(f"{out.method} witness {out.witness} is not an "
+                                 f"independent set of size {k}")
+    return out
+
+
+def _recognize(h: HPattern | Graph | str) -> FamilyMatch | None:
+    """H's supported family, or None for the three-vertex path; raises
+    UnsupportedPatternError for every other pattern."""
     if isinstance(h, str):
         h = pattern(h)
     hg = h.graph if isinstance(h, HPattern) else h
-    rng = random.Random(seed)
-    if config.faithful and k > 2:
-        raise ValueError("faithful thresholds are only computable for k <= 2")
-
     if is_isomorphic(hg, path(3)):
-        return _solve_p3_free(g, k, seed)
-
+        return None
     fam = recognize_family(hg)
     if fam is None:
         raise UnsupportedPatternError(f"pattern {getattr(h, 'name', None) or hg!r} "
                                       "is outside the supported families")
+    if fam.kind == "clique_minus_clique":
+        r, s = fam.params
+        if s == 3 and r - 3 < 2:
+            raise UnsupportedPatternError(
+                "claw-free inputs need a different algorithm (polynomial prior work)")
+        if s >= 4:
+            raise UnsupportedPatternError(
+                f"removing a clique of size {s} >= 4 puts the class in the hard regime")
+    elif fam.kind not in ("complete", "cluster", "clique_minus_bipartite", "gem"):
+        raise UnsupportedPatternError(f"unhandled family {fam.kind}")
+    return fam
+
+
+def solve_paper(g: Graph, k: int, h: HPattern | Graph | str, seed: int = 0,
+                config: SolveConfig | None = None) -> SolveOutcome:
+    """The paper's pipeline for the same question as ``solve_hfree``, kept as
+    a tested reproduction.  Decisions are exact; the Turing-kernel route
+    (K_r - K_{1,r-2}) answers yes without a witness."""
+    config = config or SolveConfig()
+    rng = random.Random(seed)
+    if config.faithful and k > 2:
+        raise ValueError("faithful thresholds are only computable for k <= 2")
+
+    fam = _recognize(h)
+    if fam is None:
+        return _solve_p3_free(g, k, seed)
     if fam.kind in ("complete", "cluster"):
         if fam.kind == "complete":
             r, q = fam.params[0], 1
@@ -95,16 +150,10 @@ def solve_hfree(g: Graph, k: int, h: HPattern | Graph | str, seed: int = 0,
         r, s = fam.params
         if s == 2:
             return _solve_by_paw_kernel(g, k, r + 1, seed, config)
-        if s == 3:
-            rho = r - 3
-            if rho < 2:
-                raise UnsupportedPatternError(
-                    "claw-free inputs need a different algorithm (polynomial prior work)")
-            runner = _triangle_runner(rho, rng, config)
-            return _expansion_solve(g, k, rho, runner, rng, config,
-                                    f"clique-minus-triangle rho={rho}", seed)
-        raise UnsupportedPatternError(
-            f"removing a clique of size {s} >= 4 puts the class in the hard regime")
+        rho = r - 3
+        runner = _triangle_runner(rho, rng, config)
+        return _expansion_solve(g, k, rho, runner, rng, config,
+                                f"clique-minus-triangle rho={rho}", seed)
 
     if fam.kind == "clique_minus_bipartite":
         r, s1, s2 = fam.params
@@ -119,11 +168,8 @@ def solve_hfree(g: Graph, k: int, h: HPattern | Graph | str, seed: int = 0,
         return _expansion_solve(g, k, 3 * rho, runner, rng, config,
                                 f"clique-minus-bipartite rho={rho}", seed)
 
-    if fam.kind == "gem":
-        runner = _gem_runner(rng, config)
-        return _expansion_solve(g, k, 1, runner, rng, config, "gem", seed)
-
-    raise UnsupportedPatternError(f"unhandled family {fam.kind}")
+    runner = _gem_runner(rng, config)
+    return _expansion_solve(g, k, 1, runner, rng, config, "gem", seed)
 
 
 def _solve_p3_free(g: Graph, k: int, seed: int) -> SolveOutcome:
@@ -133,7 +179,8 @@ def _solve_p3_free(g: Graph, k: int, seed: int) -> SolveOutcome:
     for comp in comps:
         if not g.is_clique_mask(comp):
             p3 = find_induced(g, path(3))
-            assert p3 is not None
+            if p3 is None:
+                raise InternalCheckError("a component is not a clique, yet no induced P3 was found")
             raise PatternViolationError("P3", tuple(p3.values()))
     witness = tuple(sorted(next(bits(c)) for c in comps[:k]))
     return SolveOutcome(len(comps) >= k, witness if len(comps) >= k else (), k,

@@ -29,3 +29,12 @@ def sample_hfree(pattern: HPattern | Graph, count: int, max_n: int, seed: int,
         if find_induced(g, pattern) is None:
             out.append(g)
     return out
+
+
+def check_yes_witness(g: Graph, out, k: int) -> None:
+    """A yes carries an independent witness of at least k vertices.  Only
+    the paper pipeline's Turing-kernel route may answer yes without one."""
+    if not out.witness and out.method.startswith("turing kernel"):
+        return
+    assert len(set(out.witness)) >= k, (out.method, out.witness, k)
+    assert g.is_independent_set(out.witness), (out.method, out.witness)

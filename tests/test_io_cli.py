@@ -150,3 +150,22 @@ def test_cli_seed_from_environment(tmp_path, capsys, monkeypatch):
     path = _write_graph(tmp_path, pattern("C5").graph)
     assert main(["solve", "--input", path, "--pattern", "2K2", "--k", "2"]) == 0
     assert "seed = 42" in capsys.readouterr().out
+
+
+def test_cli_solve_budget_exit_code(tmp_path, capsys):
+    # C5 is gem-free with alpha 2; greedy finds 2 < 3, so the oracle must
+    # search, and two nodes are not enough to refute k = 3
+    path = _write_graph(tmp_path, pattern("C5").graph)
+    assert main(["solve", "--input", path, "--pattern", "gem", "--k", "3",
+                 "--budget", "2"]) == 2
+    assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_cli_solve_modes(tmp_path, capsys):
+    path = _write_graph(tmp_path, pattern("C5").graph)
+    for mode, method in (("exact", "exact"), ("desk", "gem")):
+        assert main(["solve", "--input", path, "--pattern", "gem", "--k", "3",
+                     "--mode", mode]) == 0
+        out = capsys.readouterr().out
+        assert f"method = {method}\n" in out
+        assert "independent set of size 3: no" in out

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from hfree_mis.errors import BudgetExceededError
+from hfree_mis import oracle
+from hfree_mis.errors import BudgetExceededError, InternalCheckError
 from hfree_mis.graph import random_graph
 from hfree_mis.oracle import (
     alpha_exact,
@@ -71,3 +72,10 @@ def test_supplied_cover_gives_same_answer():
         g = random_graph(rng.randrange(2, 12), rng.random(), rng)
         cover = greedy_clique_cover(g, order=list(range(g.n)))
         assert alpha_exact(g, cover=cover).alpha == alpha_exact(g).alpha
+
+
+def test_non_independent_witness_raises_internal_check(monkeypatch):
+    # a corrupt initial bound that no search can beat reaches the final check
+    monkeypatch.setattr(oracle, "greedy_independent_set", lambda g: g.full_mask)
+    with pytest.raises(InternalCheckError):
+        oracle.alpha_exact(cycle(5))
