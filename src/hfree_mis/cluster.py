@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PatternViolationError
+from .errors import InternalCheckError, PatternViolationError
 from .graph import Graph, bits
 from .ramsey import ramsey_bound, _extract
 
@@ -34,21 +34,6 @@ class ClusterResult:
 class _Found(Exception):
     def __init__(self, mask: int):
         self.mask = mask
-
-
-def _cliques_of_size(g: Graph, mask: int, r: int) -> list[tuple[int, ...]]:
-    """All r-cliques within mask, as increasing vertex tuples."""
-    out: list[tuple[int, ...]] = []
-
-    def grow(cur: list[int], cands: int):
-        if len(cur) == r:
-            out.append(tuple(cur))
-            return
-        for v in bits(cands):
-            grow(cur + [v], cands & g.adj[v] & ~((1 << (v + 1)) - 1))
-
-    grow([], mask)
-    return out
 
 
 def solve_cluster_free(g: Graph, k: int, r: int, q: int) -> ClusterResult:
@@ -78,7 +63,8 @@ def solve_cluster_free(g: Graph, k: int, r: int, q: int) -> ClusterResult:
     def extend(cur: int, rest: int, depth: int, added: set[int]) -> None:
         nonlocal insertions
         insertions += 1
-        assert g.is_independent_mask(cur)
+        if not g.is_independent_mask(cur):
+            raise InternalCheckError(f"family member {tuple(bits(cur))} is not independent")
         added.add(cur)
         if cur.bit_count() >= k:
             raise _Found(cur)
@@ -130,7 +116,7 @@ def solve_cluster_free(g: Graph, k: int, r: int, q: int) -> ClusterResult:
 
         fam_out: set[int] = set()
         anchors: list[tuple[tuple[int, ...], int]] = [((), mask)]
-        for clique in _cliques_of_size(g, mask, r):
+        for clique in g.cliques(mask, r):
             c = clique[0]
             forbidden = 0
             for w in clique:
@@ -156,6 +142,7 @@ def solve_cluster_free(g: Graph, k: int, r: int, q: int) -> ClusterResult:
         solve(g.full_mask, q, ())
     except _Found as hit:
         wit = tuple(bits(hit.mask))
-        assert g.is_independent_set(wit) and len(wit) >= k
+        if len(wit) < k or not g.is_independent_set(wit):
+            raise InternalCheckError(f"witness {wit} is not an independent set of size {k}")
         return ClusterResult(True, wit, insertions)
     return ClusterResult(False, (), insertions)

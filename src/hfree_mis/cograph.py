@@ -3,13 +3,13 @@
 Cographs are exactly the graphs whose every induced subgraph on >= 2
 vertices is disconnected or has a disconnected complement; alpha and a
 minimum clique cover fall out of the same recursion.  Cographs are perfect,
-so the cover size equals alpha; both routines assert that.
+so the cover size equals alpha; both routines check that.
 """
 
 from __future__ import annotations
 
-from .errors import PatternViolationError
-from .graph import Graph, bits
+from .errors import InternalCheckError, PatternViolationError
+from .graph import Graph, bits, complement
 
 
 def find_p4(g: Graph, mask: int | None = None) -> tuple[int, ...] | None:
@@ -32,70 +32,36 @@ def is_p4_free(g: Graph, mask: int | None = None) -> bool:
     return find_p4(g, mask) is None
 
 
-def _cotree_split(g: Graph, mask: int) -> tuple[str, list[int]]:
-    """Split a vertex mask into union parts or join parts.
+def _cotree_split(g: Graph, co: Graph, mask: int) -> tuple[str, list[int]]:
+    """Split a vertex mask into union parts or join parts; ``co`` is the
+    complement of ``g``.
 
     Returns ("union", comps) when g[mask] is disconnected, ("join", comps)
     when its complement is disconnected, and raises otherwise (not a
     cograph) with an induced P4 witness.
     """
-    comps = _components_in(g, mask)
+    comps = g.connected_components(mask)
     if len(comps) > 1:
         return "union", comps
-    co_comps = _co_components_in(g, mask)
+    co_comps = co.connected_components(mask)
     if len(co_comps) > 1:
         return "join", co_comps
     p4 = find_p4(g, mask)
-    assert p4 is not None
+    if p4 is None:
+        raise InternalCheckError("graph and complement both connected, yet no induced P4")
     raise PatternViolationError("P4", p4, "not a cograph")
-
-
-def _components_in(g: Graph, mask: int) -> list[int]:
-    comps = []
-    rest = mask
-    while rest:
-        v = rest & -rest
-        comp = v
-        frontier = g.adj[v.bit_length() - 1] & mask & ~comp
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            for w in bits(frontier):
-                nxt |= g.adj[w]
-            frontier = nxt & mask & ~comp
-        comps.append(comp)
-        rest &= ~comp
-    return comps
-
-
-def _co_components_in(g: Graph, mask: int) -> list[int]:
-    comps = []
-    rest = mask
-    while rest:
-        vbit = rest & -rest
-        v = vbit.bit_length() - 1
-        comp = vbit
-        frontier = mask & ~g.adj[v] & ~comp
-        while frontier:
-            comp |= frontier
-            nxt_keep = 0
-            for w in bits(frontier):
-                nxt_keep |= mask & ~g.adj[w] & ~(1 << w)
-            frontier = nxt_keep & ~comp
-        comps.append(comp)
-        rest &= ~comp
-    return comps
 
 
 def cograph_alpha(g: Graph, mask: int | None = None) -> tuple[int, int]:
     """(alpha, witness mask) of a P4-free graph; raises on a P4."""
     if mask is None:
         mask = g.full_mask
+    co = complement(g)
 
     def rec(m: int) -> tuple[int, int]:
         if m.bit_count() <= 1:
             return m.bit_count(), m
-        kind, parts = _cotree_split(g, m)
+        kind, parts = _cotree_split(g, co, m)
         if kind == "union":
             total, wit = 0, 0
             for p in parts:
@@ -113,22 +79,25 @@ def cograph_alpha(g: Graph, mask: int | None = None) -> tuple[int, int]:
     if not mask:
         return 0, 0
     alpha, wit = rec(mask)
-    assert g.is_independent_mask(wit) and wit.bit_count() == alpha
+    if wit.bit_count() != alpha or not g.is_independent_mask(wit):
+        raise InternalCheckError(f"cotree witness {tuple(bits(wit))} is not an "
+                                 f"independent set of size {alpha}")
     return alpha, wit
 
 
 def cograph_clique_cover(g: Graph, mask: int | None = None) -> list[int]:
     """Minimum clique cover (list of masks) of a P4-free graph.
 
-    By perfection the cover size equals alpha; asserted on every call.
+    By perfection the cover size equals alpha; checked on every call.
     """
     if mask is None:
         mask = g.full_mask
+    co = complement(g)
 
     def rec(m: int) -> list[int]:
         if m.bit_count() <= 1:
             return [m] if m else []
-        kind, parts = _cotree_split(g, m)
+        kind, parts = _cotree_split(g, co, m)
         covers = [rec(p) for p in parts]
         if kind == "union":
             out = []
@@ -150,9 +119,11 @@ def cograph_clique_cover(g: Graph, mask: int | None = None) -> list[int]:
         return []
     cover = rec(mask)
     for cls in cover:
-        assert g.is_clique_mask(cls)
+        if not g.is_clique_mask(cls):
+            raise InternalCheckError(f"cover class {tuple(bits(cls))} is not a clique")
     alpha, _ = cograph_alpha(g, mask)
-    assert len(cover) == alpha
+    if len(cover) != alpha:
+        raise InternalCheckError(f"clique cover of size {len(cover)} but alpha is {alpha}")
     return cover
 
 

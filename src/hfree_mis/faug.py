@@ -17,7 +17,7 @@ from itertools import product
 from typing import Callable
 
 from .cograph import cograph_alpha, cograph_clique_cover, find_p4
-from .errors import PatternViolationError
+from .errors import InternalCheckError, PatternViolationError
 from .graph import Graph, bits, mask_of
 from .iterexp import FaugInstance
 from .ramsey import ramsey_bound, ramsey_extract
@@ -35,7 +35,8 @@ class FaugResult:
 
 
 def _verify_found(g: Graph, vertices: tuple[int, ...], k: int) -> FaugResult:
-    assert len(set(vertices)) >= k and g.is_independent_set(vertices)
+    if len(set(vertices)) < k or not g.is_independent_set(vertices):
+        raise InternalCheckError(f"found {vertices} is not an independent set of size {k}")
     return FaugResult(True, tuple(sorted(vertices)), "independent set found")
 
 
@@ -255,7 +256,7 @@ def solve_faug_clique_minus_bipartite(
                 return _verify_found(g, out.members, k)
             part_cliques[i] = out.members
         else:
-            small = _clique_in_mask(g, p, r)
+            small = next(g.cliques(p, r), None)
             if small is not None:
                 part_cliques[i] = small
 
@@ -277,26 +278,29 @@ def solve_faug_clique_minus_bipartite(
                     sa = slice_of(a, "high" if rel[a][b] == "semi_desc" else "low")
                     sc = slice_of(c, "high" if rel[b][c] == "semi_asc" else "low")
                     witness = sa + slice_of(b, "mid") + sc
-                    _assert_clique_minus_bipartite(g, sa, slice_of(b, "mid"), sc, r)
+                    _check_clique_minus_bipartite(g, sa, slice_of(b, "mid"), sc, r)
                     raise PatternViolationError(
                         f"K{3 * r}-K{r},{r}", witness, "two-edge path among extracted cliques")
 
-    comp_id = _relation_components(rel, kk)
-    if len(set(comp_id)) > 1:
+    # relation components, which are cliques after the check above
+    rel_graph = Graph.from_adj([mask_of(b for b in range(kk) if b != a and rel[a][b] != "empty")
+                                for a in range(kk)])
+    comps = rel_graph.connected_components()
+    if len(comps) > 1:
+        comp_of = {ci: comp for comp in comps for ci in bits(comp)}
         for i in range(k):
-            comps_seen = {comp_id[ci] for ci in bits(inst.bip[i])}
-            if len(comps_seen) > 1:
-                cs = sorted(bits(inst.bip[i]), key=lambda ci: comp_id[ci])
+            cs = sorted(bits(inst.bip[i]), key=comp_of.__getitem__)
+            if cs and comp_of[cs[0]] != comp_of[cs[-1]]:
                 a = cs[0]
-                c = next(ci for ci in cs if comp_id[ci] != comp_id[a])
+                c = next(ci for ci in cs if comp_of[ci] != comp_of[a])
                 ka = part_cliques.get(i)
                 if ka is None:
                     raise ValueError("part bridges two components but is too small to certify")
-                _assert_clique_minus_bipartite(g, slice_of(a, "low"), ka, slice_of(c, "low"), r)
+                _check_clique_minus_bipartite(g, slice_of(a, "low"), ka, slice_of(c, "low"), r)
                 raise PatternViolationError(
                     f"K{3 * r}-K{r},{r}", ka + slice_of(a, "low") + slice_of(c, "low"),
                     "part bridges two relation components")
-        raise AssertionError("disconnected relation graph with no bridging part")
+        raise InternalCheckError("disconnected relation graph with no bridging part")
 
     full_row = (1 << kk) - 1
     for i in range(k):
@@ -310,7 +314,7 @@ def solve_faug_clique_minus_bipartite(
                 sa, sc = slice_of(a, "high"), slice_of(c, "low")
             else:
                 sa, sc = slice_of(a, "low"), slice_of(c, "high")
-            _assert_clique_minus_bipartite(g, ka, sa, sc, r)
+            _check_clique_minus_bipartite(g, ka, sa, sc, r)
             raise PatternViolationError(
                 f"K{3 * r}-K{r},{r}", ka + sa + sc, "part misses a clique")
 
@@ -332,52 +336,16 @@ def solve_faug_clique_minus_bipartite(
     return FaugResult(False, (), "part union has no independent set of size k")
 
 
-def _clique_in_mask(g: Graph, mask: int, r: int) -> tuple[int, ...] | None:
-    """Any r-clique inside the mask, by direct search (small masks only)."""
-
-    def grow(cur: list[int], cands: int):
-        if len(cur) == r:
-            return tuple(cur)
-        for v in bits(cands):
-            hit = grow(cur + [v], cands & g.adj[v] & ~((1 << (v + 1)) - 1))
-            if hit is not None:
-                return hit
-        return None
-
-    return grow([], mask)
-
-
-def _relation_components(rel, kk: int) -> list[int]:
-    comp = list(range(kk))
-
-    def root(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for a in range(kk):
-        for b in range(a + 1, kk):
-            if rel[a][b] != "empty":
-                comp[root(a)] = root(b)
-    return [root(x) for x in range(kk)]
-
-
-def _assert_clique_minus_bipartite(g: Graph, side_a, middle, side_b, r: int) -> None:
+def _check_clique_minus_bipartite(g: Graph, side_a, middle, side_b, r: int) -> None:
     """The three r-sets must induce the clique-minus-complete-bipartite
     pattern: everything complete except side_a x side_b."""
-    assert len(side_a) == len(middle) == len(side_b) == r
-    for part in (side_a, middle, side_b):
-        assert g.is_clique(part)
-    for u in side_a:
-        for w in middle:
-            assert g.has_edge(u, w)
-    for u in middle:
-        for w in side_b:
-            assert g.has_edge(u, w)
-    for u in side_a:
-        for w in side_b:
-            assert not g.has_edge(u, w)
+    ok = (len(side_a) == len(middle) == len(side_b) == r
+          and len(set(side_a + middle + side_b)) == 3 * r
+          and g.is_clique(side_a + middle) and g.is_clique(middle + side_b)
+          and not any(g.has_edge(u, w) for u in side_a for w in side_b))
+    if not ok:
+        raise InternalCheckError(
+            f"{side_a} + {middle} + {side_b} does not induce K{3 * r}-K{r},{r}")
 
 
 # -- the gem ------------------------------------------------------------------
@@ -491,7 +459,8 @@ def _gem_branching(g: Graph, k: int, parts: list[int], inst: FaugInstance,
         if any(p == 0 for p in br):
             continue
         after = len(_adjacent_pairs(g, br))
-        assert after < before, "branching must remove a part adjacency"
+        if after >= before:
+            raise InternalCheckError("branching must remove a part adjacency")
         res = _gem_branching(g, k, br, inst, centers, rng)
         if res.found:
             return res
@@ -505,18 +474,7 @@ def _gem_finish(g: Graph, k: int, parts: list[int], inst: FaugInstance,
         union |= p
     total = 0
     witness = 0
-    comp_rest = union
-    while comp_rest:
-        v = comp_rest & -comp_rest
-        comp = v
-        frontier = g.adj[v.bit_length() - 1] & union & ~comp
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            for w in bits(frontier):
-                nxt |= g.adj[w]
-            frontier = nxt & union & ~comp
-        comp_rest &= ~comp
+    for comp in g.connected_components(union):
         p4 = find_p4(g, comp)
         if p4 is not None:
             dom = _component_dominator(g, comp, centers)

@@ -2,7 +2,10 @@
 
 A vertex set is an int whose bit i is vertex i.  All operations treat graphs
 as immutable: mutators return new graphs, so instances are safe to share
-across threads.
+across threads.  The two searches the algorithms keep coming back to work
+on a vertex mask of the graph, with no relabelled copy:
+``Graph.connected_components(mask)`` and the clique searches
+``Graph.cliques(mask, r)`` and ``Graph.max_clique(mask)``.
 """
 
 from __future__ import annotations
@@ -144,24 +147,58 @@ class Graph:
             labels = tuple(lab)
         return Graph.from_adj(adj, labels)
 
-    def connected_components(self) -> list[int]:
-        """Vertex masks of the connected components, by smallest member."""
-        seen = 0
+    def connected_components(self, mask: int | None = None) -> list[int]:
+        """Vertex masks of the components of G[mask] (default: the whole
+        graph), in order of their smallest member."""
+        if mask is None:
+            mask = (1 << self.n) - 1
+        adj = self.adj
         comps = []
-        for v in range(self.n):
-            if seen >> v & 1:
-                continue
-            comp = 1 << v
-            frontier = self.adj[v] & ~comp
+        while mask:
+            comp = frontier = mask & -mask
             while frontier:
-                comp |= frontier
                 nxt = 0
-                for w in bits(frontier):
-                    nxt |= self.adj[w]
-                frontier = nxt & ~comp
+                while frontier:
+                    low = frontier & -frontier
+                    nxt |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = nxt & mask & ~comp
+                comp |= frontier
             comps.append(comp)
-            seen |= comp
+            mask &= ~comp
         return comps
+
+    def cliques(self, mask: int, r: int) -> Iterator[tuple[int, ...]]:
+        """The r-cliques of G[mask] as increasing tuples, in lexicographic
+        order."""
+        adj = self.adj
+
+        def grow(cur: tuple[int, ...], cands: int):
+            if len(cur) == r:
+                yield cur
+            elif len(cur) + cands.bit_count() >= r:
+                for v in bits(cands):
+                    yield from grow(cur + (v,), cands & adj[v] & ~((1 << (v + 1)) - 1))
+
+        return grow((), mask)
+
+    def max_clique(self, mask: int | None = None) -> int:
+        """Mask of a largest clique of G[mask] (default: the whole graph):
+        the first one a depth-first search in vertex order meets."""
+        adj = self.adj
+        best = best_size = 0
+
+        def grow(cur: int, size: int, cands: int):
+            nonlocal best, best_size
+            if size > best_size:
+                best, best_size = cur, size
+            if size + cands.bit_count() <= best_size:
+                return
+            for v in bits(cands):
+                grow(cur | 1 << v, size + 1, cands & adj[v] & ~((1 << (v + 1)) - 1))
+
+        grow(0, 0, (1 << self.n) - 1 if mask is None else mask)
+        return best
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.connected_components()) == 1

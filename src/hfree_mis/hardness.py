@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
+from .errors import InternalCheckError
 from .graph import Graph, bits, join
 from .induced import find_induced
 from .oracle import alpha_exact
@@ -198,7 +199,8 @@ def _build(gt: GridTiling, variant: str, p: int, connect_gadgets: bool) -> Const
     k, n_t = gt.k, gt.tile_size
     keys, arcs = _gadget_layout(p)
     per_gadget = len(keys)
-    assert per_gadget == 8 * (p + 1)
+    if per_gadget != 8 * (p + 1):
+        raise InternalCheckError(f"gadget layout has {per_gadget} keys, expected {8 * (p + 1)}")
 
     vertex_of = {}
     labels = []
@@ -268,7 +270,8 @@ def _build(gt: GridTiling, variant: str, p: int, connect_gadgets: bool) -> Const
     out = ConstructionOutput(graph, 8 * (p + 1) * k * k, variant, p, gt,
                              tuple(main), cycle_cliques, clique_at)
     for vs in out.main_cliques:
-        assert graph.is_clique(vs)
+        if not graph.is_clique(vs):
+            raise InternalCheckError(f"main clique {vs} is not a clique")
     return out
 
 
@@ -285,8 +288,9 @@ def lift_solution(solution, out: ConstructionOutput) -> tuple[int, ...]:
         idx = gt.tiles[i][j].index(solution[i][j])
         chosen.append(vs[idx])
     witness = tuple(sorted(chosen))
-    assert len(witness) == out.k_prime
-    assert out.graph.is_independent_set(witness)
+    if len(witness) != out.k_prime or not out.graph.is_independent_set(witness):
+        raise InternalCheckError(f"lifted solution {witness} is not an independent set "
+                                 f"of size {out.k_prime}")
     return witness
 
 

@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, product
 
+from .errors import InternalCheckError
 from .graph import Graph, bits, mask_of
 from .ramsey import ramsey_multicolor_bound
 
@@ -136,7 +137,11 @@ class FaugInstance:
                 if links == "all":
                     row |= 1 << ci
             bip.append(row)
-        if not _bip_connected(k, tuple(bip)):
+        # parts 0..k-1, then cliques k..2k-2
+        bip_graph = Graph.from_adj(
+            [row << k for row in bip]
+            + [mask_of(i for i in range(k) if bip[i] >> ci & 1) for ci in range(k - 1)])
+        if len(bip_graph.connected_components()) > 1:
             raise ValueError("part/clique bipartite graph is disconnected")
         return cls(g, k, tuple(parts), cliques, tuple(bip), host_map)
 
@@ -165,29 +170,6 @@ def _part_clique_adjacency(g: Graph, part: int, clique_mask: int) -> str:
     if seen_all and seen_none:
         return "partial"
     return "all" if seen_all else "none"
-
-
-def _bip_connected(k: int, bip: tuple[int, ...]) -> bool:
-    if k == 1:
-        return True
-    total = 2 * k - 1  # parts then cliques
-    seen = 1
-    frontier = [0]
-    while frontier:
-        node = frontier.pop()
-        if node < k:
-            for ci in bits(bip[node]):
-                nxt = k + ci
-                if not (seen >> nxt & 1):
-                    seen |= 1 << nxt
-                    frontier.append(nxt)
-        else:
-            ci = node - k
-            for pi in range(k):
-                if bip[pi] >> ci & 1 and not (seen >> pi & 1):
-                    seen |= 1 << pi
-                    frontier.append(pi)
-    return seen == (1 << total) - 1
 
 
 # -- the expansion driver ------------------------------------------------------
@@ -221,7 +203,9 @@ def iterexp_driver(g: Graph, k: int, batch_size, expansion_solver):
         wit = _inner(gg, kk)
         if wit is not None:
             wit = tuple(sorted(wit))
-            assert len(wit) >= kk and gg.is_independent_set(wit)
+            if len(wit) < kk or not gg.is_independent_set(wit):
+                raise InternalCheckError(f"driver witness {wit} is not an "
+                                         f"independent set of size {kk}")
         memo[key] = wit
         return wit
 
@@ -271,25 +255,20 @@ def pair_type(g: Graph, sa: tuple[int, ...], sb: tuple[int, ...]) -> int:
 
 def _max_monochromatic_clique(m: int, color: dict[tuple[int, int], int]) -> list[int]:
     """Largest vertex set of the complete graph on [m] whose pairs all share
-    one color.  Exhaustive with pruning; m stays tiny in desk mode."""
+    one color; ties go to the color met first, then to the first clique in
+    vertex order."""
     best: list[int] = [0] if m else []
     by_color: dict[int, list[int]] = {}
     for (i, j), c in color.items():
         by_color.setdefault(c, []).append((i, j))
-    for c, pairs in by_color.items():
+    for pairs in by_color.values():
         adj = [0] * m
         for i, j in pairs:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-
-        def grow(cur: list[int], cands: int):
-            nonlocal best
-            if len(cur) > len(best):
-                best = cur[:]
-            for v in bits(cands):
-                grow(cur + [v], cands & adj[v] & ~((1 << (v + 1)) - 1))
-
-        grow([], (1 << m) - 1)
+        clique = Graph.from_adj(adj).max_clique()
+        if clique.bit_count() > len(best):
+            best = list(bits(clique))
     return best
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import PatternViolationError
+from .errors import InternalCheckError, PatternViolationError
 from .graph import Graph, bits, mask_of
 from .oracle import alpha_exact, greedy_independent_set
 from .ramsey import eh_extract, ramsey_bound, ramsey_extract
@@ -73,7 +73,8 @@ def _multipartite_classes(g: Graph, c_mask: int, b_mask: int, r: int) -> list[in
     miss = {}
     for u in bits(b_mask):
         non = c_mask & ~g.adj[u]
-        assert non.bit_count() == 1
+        if non.bit_count() != 1:
+            raise InternalCheckError(f"vertex {u} misses {non.bit_count()} core vertices, not one")
         x = next(bits(non))
         miss[u] = x
         parts[part_of[x]] |= 1 << u
@@ -167,12 +168,13 @@ def _component_passes(cur: Graph, kept: list[int], k: int, r: int, trace: list[s
                 trace.append(f"multipartite component collapsed to its largest part ({largest.bit_count()})")
                 return _delete(cur, kept, drop), None
     for comp in comps:
-        sub, sub_map = cur.induced(comp)
-        omega = _max_clique_size(sub)
-        if sub.n >= ramsey_bound(omega + 1, k):
-            out = ramsey_extract(sub, omega + 1, k)
-            assert out.kind == "independent_set"
-            wit = tuple(sorted(kept[sub_map[v]] for v in out.members))
+        omega = cur.max_clique(comp).bit_count()
+        if comp.bit_count() >= ramsey_bound(omega + 1, k):
+            out = ramsey_extract(cur, omega + 1, k, comp)
+            if out.kind != "independent_set":
+                raise InternalCheckError(
+                    f"component has a clique larger than its clique number {omega}")
+            wit = tuple(sorted(kept[v] for v in out.members))
             trace.append(f"component saturated the bound for clique number {omega}")
             return None, KernelResult("solved_yes", None, k, wit, trace=list(trace))
     return None, None
@@ -217,7 +219,8 @@ def _star_kernel_rule(cur: Graph, kept: list[int], k: int, r: int, q: int,
             for pi in touched[: r - 3]:
                 spare &= ~parts[pi]
             xs = list(bits(spare))[:2]
-            assert len(xs) == 2, "clique floor guarantees spare core vertices"
+            if len(xs) != 2:
+                raise InternalCheckError("clique floor guarantees spare core vertices")
             raise PatternViolationError(
                 f"K{r}-K1,2", tuple(kept[x] for x in (u, *ys, *xs)),
                 "outside vertex touching too many parts")
@@ -256,22 +259,6 @@ def _complete_multipartite_parts(g: Graph, comp: int) -> list[int] | None:
                 if parts[j] & ~g.adj[u]:
                     return None
     return parts
-
-
-def _max_clique_size(g: Graph) -> int:
-    best = 0
-
-    def grow(count: int, cands: int):
-        nonlocal best
-        if count > best:
-            best = count
-        if count + cands.bit_count() <= best:
-            return
-        for v in bits(cands):
-            grow(count + 1, cands & g.adj[v] & ~((1 << (v + 1)) - 1))
-
-    grow(0, g.full_mask)
-    return best
 
 
 # -- Turing kernel for a clique with a pendant vertex -------------------------
@@ -396,7 +383,8 @@ def solve_via_isolated_clique(g: Graph, k: int, r: int, budget: int = 10_000_000
         res = kernel_krfree(sub, k - 1, r - 1)
         if res.verdict == "solved_yes":
             return True
-        assert res.verdict == "reduced"
+        if res.verdict != "reduced":
+            raise InternalCheckError(f"Ramsey kernel returned {res.verdict}")
         if alpha_exact(res.graph, budget).alpha >= k - 1:
             return True
     return False

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import InternalCheckError
 from .graph import Graph, mask_of
 from .induced import find_induced
 from .iterexp import FaugInstance, RamseyCliques
@@ -18,6 +19,11 @@ from .patterns import clique_minus_bipartite, clique_minus_clique, pattern
 
 def _build_graph(n: int, edges: set[tuple[int, int]]) -> Graph:
     return Graph(n, sorted(edges))
+
+
+def _check_planted(g: Graph, planted: tuple[int, ...]) -> None:
+    if not g.is_independent_set(planted):
+        raise InternalCheckError(f"planted set {planted} is not independent")
 
 
 def planted_path_instance(k: int, r: int, rng: random.Random,
@@ -91,10 +97,11 @@ def planted_path_instance(k: int, r: int, rng: random.Random,
 
     g = _build_graph(n, edges)
     forbidden = clique_minus_clique(r + 3, 3)
-    assert find_induced(g, forbidden) is None, "builder produced a non-free host"
+    if find_induced(g, forbidden) is not None:
+        raise InternalCheckError("builder produced a non-free host")
     rc = RamseyCliques.build(g, tuple(cliques))
     inst = FaugInstance.build(g, k, tuple(mask_of(p) for p in parts), rc)
-    assert g.is_independent_set(planted)
+    _check_planted(g, planted)
     return inst, planted
 
 
@@ -161,7 +168,7 @@ def planted_bipartite_instance(k: int, r: int, rng: random.Random,
             continue
         rc = RamseyCliques.build(g, tuple(cliques))
         inst = FaugInstance.build(g, k, tuple(mask_of(p) for p in parts), rc)
-        assert g.is_independent_set(planted)
+        _check_planted(g, planted)
         return inst, planted
     raise RuntimeError("could not sample a free host")
 
@@ -214,9 +221,10 @@ def planted_gem_instance(k: int, rng: random.Random, part_size: int = 4):
     planted = tuple(b[0][0] for b in blocks)
 
     g = _build_graph(n, edges)
-    assert find_induced(g, gem) is None, "builder produced a gem"
+    if find_induced(g, gem) is not None:
+        raise InternalCheckError("builder produced a gem")
     singles = tuple((c,) for c in centers)
     rc = RamseyCliques.build(g, singles)
     inst = FaugInstance.build(g, k, tuple(mask_of(p) for p in parts), rc)
-    assert g.is_independent_set(planted)
+    _check_planted(g, planted)
     return inst, planted

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .errors import PatternViolationError
+from .errors import InternalCheckError, PatternViolationError
 from .graph import Graph, bits, mask_of
 
 
@@ -57,10 +57,9 @@ class RamseyOutcome:
 
     def validate(self, g: Graph) -> None:
         m = mask_of(self.members)
-        if self.kind == "clique":
-            assert g.is_clique_mask(m)
-        else:
-            assert g.is_independent_mask(m)
+        ok = g.is_clique_mask(m) if self.kind == "clique" else g.is_independent_mask(m)
+        if not ok:
+            raise InternalCheckError(f"extracted {self.kind} {self.members} is not one")
 
 
 def _extract(g: Graph, mask: int, r: int, k: int) -> tuple[str, int]:
@@ -117,7 +116,7 @@ def ceil_root(n: int, e: int) -> int:
 
 
 class _OpCounter:
-    """Cheap operation counter asserting the polynomial-time contract."""
+    """Cheap operation counter checking the polynomial-time contract."""
 
     __slots__ = ("count", "limit")
 
@@ -128,7 +127,7 @@ class _OpCounter:
     def charge(self, amount: int = 1) -> None:
         self.count += amount
         if self.count > self.limit:
-            raise AssertionError(f"operation budget exceeded: {self.count} > {self.limit}")
+            raise InternalCheckError(f"operation budget exceeded: {self.count} > {self.limit}")
 
 
 def _eh_rec(g: Graph, mask: int, r: int, s: int, ops: _OpCounter) -> tuple[str, int]:

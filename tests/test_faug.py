@@ -178,6 +178,38 @@ def test_bipartite_missing_clique_is_certified():
     assert find_induced(sub, clique_minus_bipartite(3 * r, r, r)) is not None
 
 
+def test_bipartite_bridging_part_is_certified():
+    # two cliques in the empty relation and a part that sees both: the part
+    # bridges two relation components, so the forbidden pattern must emerge
+    r = 2
+    q = 3 * r
+    k = 3
+    cliques = [tuple(range(0, q)), tuple(range(q, 2 * q))]
+    n = 2 * q
+    parts = [tuple(range(n + i * r, n + i * r + r)) for i in range(k)]
+    n += k * r
+    edges = []
+    for cl in cliques:
+        edges += [(cl[i], cl[j]) for i in range(q) for j in range(i + 1, q)]
+    for p in parts:
+        edges += [(p[i], p[j]) for i in range(r) for j in range(i + 1, r)]
+    # part 0 sees both cliques, part 1 only clique 0, part 2 only clique 1
+    sees = {0: (0, 1), 1: (0,), 2: (1,)}
+    for pi, p in enumerate(parts):
+        for ci in sees[pi]:
+            edges += [(u, w) for u in p for w in cliques[ci]]
+    g = Graph(n, edges)
+    rc = RamseyCliques.build(g, tuple(cliques))
+    assert rc.relations[0][1] == "empty"
+    inst = FaugInstance.build(g, k, tuple(mask_of(p) for p in parts), rc)
+    with pytest.raises(PatternViolationError) as err:
+        solve_faug_clique_minus_bipartite(inst, r, _oracle_callback, part_threshold=1)
+    assert "bridges" in str(err.value)
+    emb = err.value.vertices
+    sub, _ = g.induced(sum(1 << v for v in emb))
+    assert find_induced(sub, clique_minus_bipartite(3 * r, r, r)) is not None
+
+
 def test_bipartite_smallest_parameters():
     # r = 1, k = 2: one clique of size three, both parts dominated by it;
     # on a valid host the part union is a clique, so no transversal exists

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -62,16 +63,45 @@ def test_disjoint_union_alpha_is_sum():
         assert a == alpha_exact(g1).alpha + alpha_exact(g2).alpha
 
 
+def _connected_by_pairs(g, vertices):
+    """Connectivity of g[vertices] by growing a reached list edge by edge."""
+    reached = [vertices[0]]
+    for u in reached:
+        for w in vertices:
+            if w not in reached and g.has_edge(u, w):
+                reached.append(w)
+    return len(reached) == len(vertices)
+
+
 def test_components_partition_vertices():
+    # every mask of seeded graphs with n <= 10, against brute force
     rng = random.Random(4)
-    for _ in range(20):
-        g = random_graph(rng.randrange(1, 14), 0.15, rng)
-        comps = g.connected_components()
-        total = 0
-        for c in comps:
-            assert total & c == 0
-            total |= c
-        assert total == g.full_mask
+    for n in list(range(1, 11)) + [8, 9, 10]:
+        g = random_graph(n, rng.choice((0.15, 0.3, 0.5, 0.7)), rng)
+        assert g.connected_components() == g.connected_components(g.full_mask)
+        is_clique = [g.is_clique_mask(m) for m in range(1 << n)]
+        omega = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            omega[mask] = mask.bit_count() if is_clique[mask] else max(
+                omega[mask & ~(1 << v)] for v in bits(mask))
+        for mask in range(1 << n):
+            comps = g.connected_components(mask)
+            total = 0
+            for c in comps:
+                assert c and total & c == 0
+                assert _connected_by_pairs(g, list(bits(c)))
+                total |= c
+            assert total == mask
+            for i, c in enumerate(comps):
+                for d in comps[i + 1:]:
+                    assert not any(g.adj[v] & d for v in bits(c))
+            lows = [c & -c for c in comps]
+            assert lows == sorted(lows)
+            for r in range(1, 5):
+                expected = [t for t in combinations(bits(mask), r) if is_clique[mask_of(t)]]
+                assert list(g.cliques(mask, r)) == expected
+            best = g.max_clique(mask)
+            assert best & ~mask == 0 and is_clique[best] and best.bit_count() == omega[mask]
 
 
 def test_induced_subgraph_keeps_edges():
