@@ -36,11 +36,12 @@ class _Found(Exception):
         self.mask = mask
 
 
-def solve_cluster_free(g: Graph, k: int, r: int, q: int) -> ClusterResult:
-    """Find an independent set of size k, or report that alpha < k.
+def solve_cluster_free(g: Graph, k: int, r: int, q: int, mask: int | None = None) -> ClusterResult:
+    """Find an independent set of size k in G[mask] (default: all of G), or
+    report that its alpha is below k.
 
-    Requires G free of the disjoint union of q copies of K_r; a violating
-    embedding discovered mid-run raises PatternViolationError.
+    Requires G[mask] free of the disjoint union of q copies of K_r; a
+    violating embedding discovered mid-run raises PatternViolationError.
     """
     if k <= 0:
         return ClusterResult(True, (), 0)
@@ -139,7 +140,7 @@ def solve_cluster_free(g: Graph, k: int, r: int, q: int) -> ClusterResult:
         return fam
 
     try:
-        solve(g.full_mask, q, ())
+        solve(g.full_mask if mask is None else mask, q, ())
     except _Found as hit:
         wit = tuple(bits(hit.mask))
         if len(wit) < k or not g.is_independent_set(wit):

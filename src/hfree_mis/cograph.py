@@ -3,7 +3,7 @@
 Cographs are exactly the graphs whose every induced subgraph on >= 2
 vertices is disconnected or has a disconnected complement; alpha and a
 minimum clique cover fall out of the same recursion.  Cographs are perfect,
-so the cover size equals alpha; both routines check that.
+so the cover size equals alpha; every call checks that.
 """
 
 from __future__ import annotations
@@ -52,79 +52,62 @@ def _cotree_split(g: Graph, co: Graph, mask: int) -> tuple[str, list[int]]:
     raise PatternViolationError("P4", p4, "not a cograph")
 
 
-def cograph_alpha(g: Graph, mask: int | None = None) -> tuple[int, int]:
-    """(alpha, witness mask) of a P4-free graph; raises on a P4."""
-    if mask is None:
-        mask = g.full_mask
-    co = complement(g)
+def cograph_decompose(g: Graph, mask: int | None = None) -> tuple[int, int, list[int]]:
+    """(alpha, witness mask, minimum clique cover as a list of masks) of a
+    P4-free G[mask] from one cotree recursion; raises on a P4.
 
-    def rec(m: int) -> tuple[int, int]:
-        if m.bit_count() <= 1:
-            return m.bit_count(), m
-        kind, parts = _cotree_split(g, co, m)
-        if kind == "union":
-            total, wit = 0, 0
-            for p in parts:
-                a, w = rec(p)
-                total += a
-                wit |= w
-            return total, wit
-        best, bw = -1, 0
-        for p in parts:
-            a, w = rec(p)
-            if a > best:
-                best, bw = a, w
-        return best, bw
-
-    if not mask:
-        return 0, 0
-    alpha, wit = rec(mask)
-    if wit.bit_count() != alpha or not g.is_independent_mask(wit):
-        raise InternalCheckError(f"cotree witness {tuple(bits(wit))} is not an "
-                                 f"independent set of size {alpha}")
-    return alpha, wit
-
-
-def cograph_clique_cover(g: Graph, mask: int | None = None) -> list[int]:
-    """Minimum clique cover (list of masks) of a P4-free graph.
-
-    By perfection the cover size equals alpha; checked on every call.
+    The three certify each other, checked on every call: the witness is an
+    independent set inside ``mask``, the cover classes are cliques whose
+    union is ``mask``, and the cover has as many classes as the witness has
+    vertices.
     """
     if mask is None:
         mask = g.full_mask
     co = complement(g)
 
-    def rec(m: int) -> list[int]:
+    def rec(m: int) -> tuple[int, int, list[int]]:
         if m.bit_count() <= 1:
-            return [m] if m else []
+            return m.bit_count(), m, [m] if m else []
         kind, parts = _cotree_split(g, co, m)
-        covers = [rec(p) for p in parts]
+        subs = [rec(p) for p in parts]
         if kind == "union":
-            out = []
-            for c in covers:
-                out.extend(c)
-            return out
-        # join: cliques on the two sides merge pairwise across all parts
-        out = covers[0]
-        for cov in covers[1:]:
-            merged = []
-            for i in range(max(len(out), len(cov))):
-                a = out[i] if i < len(out) else 0
-                b = cov[i] if i < len(cov) else 0
-                merged.append(a | b)
-            out = merged
-        return out
+            total, wit, cover = 0, 0, []
+            for a, w, c in subs:
+                total += a
+                wit |= w
+                cover.extend(c)
+            return total, wit, cover
+        # join: alpha from the best side; cliques merge pairwise across sides
+        best, bw, cover = -1, 0, []
+        for a, w, c in subs:
+            if a > best:
+                best, bw = a, w
+            cover = [(cover[i] if i < len(cover) else 0) | (c[i] if i < len(c) else 0)
+                     for i in range(max(len(cover), len(c)))]
+        return best, bw, cover
 
     if not mask:
-        return []
-    cover = rec(mask)
+        return 0, 0, []
+    alpha, wit, cover = rec(mask)
+    if wit.bit_count() != alpha or wit & ~mask or not g.is_independent_mask(wit):
+        raise InternalCheckError(f"cotree witness {tuple(bits(wit))} is not an "
+                                 f"independent set of size {alpha} in the mask")
+    covered = 0
     for cls in cover:
         if not g.is_clique_mask(cls):
             raise InternalCheckError(f"cover class {tuple(bits(cls))} is not a clique")
-    alpha, _ = cograph_alpha(g, mask)
+        covered |= cls
+    if covered != mask:
+        raise InternalCheckError(f"cover classes miss vertices {tuple(bits(mask & ~covered))}")
     if len(cover) != alpha:
         raise InternalCheckError(f"clique cover of size {len(cover)} but alpha is {alpha}")
-    return cover
+    return alpha, wit, cover
+
+
+def cograph_alpha(g: Graph, mask: int | None = None) -> tuple[int, int]:
+    """(alpha, witness mask) of a P4-free graph; raises on a P4."""
+    alpha, wit, _ = cograph_decompose(g, mask)
+    return alpha, wit
 
 
 def random_cograph(n_ops: int, rng) -> Graph:

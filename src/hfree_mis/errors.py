@@ -10,10 +10,17 @@ class PatternViolationError(Exception):
     def __init__(self, pattern_name: str, vertices: tuple[int, ...], message: str = ""):
         self.pattern_name = pattern_name
         self.vertices = tuple(sorted(vertices))
+        self.message = message
         text = f"input is not {pattern_name}-free: induced copy on vertices {self.vertices}"
         if message:
             text += f" ({message})"
         super().__init__(text)
+
+    def lifted(self, kept: list[int]) -> "PatternViolationError":
+        """The same violation found in a relabelled copy, with the copy's
+        vertex i named ``kept[i]`` as in the graph it was copied from."""
+        return PatternViolationError(self.pattern_name,
+                                     tuple(kept[v] for v in self.vertices), self.message)
 
 
 class BudgetExceededError(Exception):

@@ -6,7 +6,9 @@ Every solver either returns an independent set of size >= k (always
 verified before returning), reports that no independent set meets every
 part, or raises PatternViolationError with an embedding when the host graph
 turns out not to be H-free after all.  The randomized ones never report a
-false positive; misses are controlled by their repetition counts.
+false positive; misses are controlled by their repetition counts.  They
+work on the instance's vertex mask of its graph, so witnesses and
+embeddings are in that graph's vertex ids.
 """
 
 from __future__ import annotations
@@ -16,15 +18,17 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
-from .cograph import cograph_alpha, cograph_clique_cover, find_p4
+from .cluster import solve_cluster_free
+from .cograph import cograph_alpha, cograph_decompose, find_p4
 from .errors import InternalCheckError, PatternViolationError
 from .graph import Graph, bits, mask_of
 from .iterexp import FaugInstance
 from .ramsey import ramsey_bound, ramsey_extract
 
-MisCallback = Callable[[Graph, int], "tuple[int, ...] | None"]
-"""Complete decider used for branching: witness of size k in the given
-graph, or None when alpha < k."""
+MisCallback = Callable[[int, int], "tuple[int, ...] | None"]
+"""Complete decider used for branching, called as ``callback(mask, k)`` on
+a vertex mask of the instance's graph: a witness of size k inside G[mask]
+in the graph's vertex ids, or None when alpha(G[mask]) < k."""
 
 
 @dataclass(frozen=True)
@@ -48,12 +52,9 @@ def _branch_on_part(inst: FaugInstance, part_idx: int, callback: MisCallback) ->
     """
     g = inst.graph
     for v in bits(inst.parts[part_idx]):
-        keep = g.full_mask & ~g.closed_neighborhood(v)
-        sub, kept = g.induced(keep)
-        wit = callback(sub, inst.k - 1)
+        wit = callback(inst.mask & ~g.closed_neighborhood(v), inst.k - 1)
         if wit is not None:
-            lifted = tuple(kept[w] for w in wit) + (v,)
-            return _verify_found(g, lifted, inst.k)
+            return _verify_found(g, wit + (v,), inst.k)
     return FaugResult(False, (), f"no independent set of size k meets part {part_idx}")
 
 
@@ -134,7 +135,7 @@ def solve_faug_clique_minus_triangle(
             for _ in range(rounds):
                 if long_edges:
                     keep = 0
-                    for i in range(g.n):
+                    for i in bits(inst.mask):
                         if rng.random() < 0.5:
                             keep |= 1 << i
                     kept = [m & keep for m in middles]
@@ -319,20 +320,15 @@ def solve_faug_clique_minus_bipartite(
                 f"K{3 * r}-K{r},{r}", ka + sa + sc, "part misses a clique")
 
     # every clique vertex dominates the part union, so it excludes K_r + K_r
-    union = inst.all_parts_mask()
-    sub, kept = g.induced(union)
-    from .cluster import solve_cluster_free
-
     try:
-        res = solve_cluster_free(sub, k, r, 2)
+        res = solve_cluster_free(g, k, r, 2, inst.all_parts_mask())
     except PatternViolationError as exc:
-        lifted = tuple(kept[v] for v in exc.vertices)
         mid = inst.cliques.cliques[0][:r] if kk else ()
         raise PatternViolationError(
-            f"K{3 * r}-K{r},{r}", lifted + mid,
+            f"K{3 * r}-K{r},{r}", exc.vertices + mid,
             "two disjoint cliques inside the part union") from None
     if res.found:
-        return _verify_found(g, tuple(kept[v] for v in res.witness), k)
+        return _verify_found(g, res.witness, k)
     return FaugResult(False, (), "part union has no independent set of size k")
 
 
@@ -370,22 +366,21 @@ def solve_faug_gem(
         raise ValueError("extracted cliques must be single vertices")
     if rounds is None:
         rounds = min(2 ** (k * k + 1), 512)
-    centers = tuple(cl[0] for cl in inst.cliques.cliques)
 
     covers: list[list[int]] = []
     for i, p in enumerate(inst.parts):
         p4 = find_p4(g, p)
         if p4 is not None:
-            dom = centers[next(bits(inst.bip[i]))]
+            dom = inst.cliques.cliques[next(bits(inst.bip[i]))][0]
             raise PatternViolationError("gem", p4 + (dom,), "path of four inside a dominated part")
-        alpha, wit = cograph_alpha(g, p)
+        alpha, wit, cover = cograph_decompose(g, p)
         if alpha >= k:
             return _verify_found(g, tuple(bits(wit)), k)
-        covers.append(cograph_clique_cover(g, p))
+        covers.append(cover)
 
     for _ in range(rounds):
         for combo in product(*covers):
-            res = _gem_branching(g, k, list(combo), inst, centers, rng)
+            res = _gem_branching(g, k, list(combo), inst, rng)
             if res.found:
                 return res
     return FaugResult(False, (), "no transversal found (one-sided)")
@@ -418,13 +413,13 @@ def _find_balanced_diamond(g: Graph, pi: int, pj: int) -> tuple[int, int, int, i
 
 
 def _gem_branching(g: Graph, k: int, parts: list[int], inst: FaugInstance,
-                   centers: tuple[int, ...], rng: random.Random) -> FaugResult:
+                   rng: random.Random) -> FaugResult:
     if any(p == 0 for p in parts):
         return FaugResult(False, (), "emptied part")
     pairs = _adjacent_pairs(g, parts)
     target = next(((i, j) for i, j in pairs if _find_balanced_diamond(g, parts[i], parts[j]) is None), None)
     if target is None:
-        return _gem_finish(g, k, parts, inst, centers)
+        return _gem_finish(g, k, parts, inst)
     i, j = target
     # matched sub-clique structure: cross neighborhoods are equal or disjoint
     classes: dict[int, int] = {}
@@ -461,14 +456,13 @@ def _gem_branching(g: Graph, k: int, parts: list[int], inst: FaugInstance,
         after = len(_adjacent_pairs(g, br))
         if after >= before:
             raise InternalCheckError("branching must remove a part adjacency")
-        res = _gem_branching(g, k, br, inst, centers, rng)
+        res = _gem_branching(g, k, br, inst, rng)
         if res.found:
             return res
     return FaugResult(False, (), "all branches failed")
 
 
-def _gem_finish(g: Graph, k: int, parts: list[int], inst: FaugInstance,
-                centers: tuple[int, ...]) -> FaugResult:
+def _gem_finish(g: Graph, k: int, parts: list[int], inst: FaugInstance) -> FaugResult:
     union = 0
     for p in parts:
         union |= p
@@ -477,8 +471,8 @@ def _gem_finish(g: Graph, k: int, parts: list[int], inst: FaugInstance,
     for comp in g.connected_components(union):
         p4 = find_p4(g, comp)
         if p4 is not None:
-            dom = _component_dominator(g, comp, centers)
-            raise PatternViolationError("gem", p4 + (dom,), "path of four in a cleaned component")
+            raise PatternViolationError("gem", p4 + (_path_dominator(inst, p4),),
+                                        "path of four in a cleaned component")
         a, w = cograph_alpha(g, comp)
         total += a
         witness |= w
@@ -487,12 +481,12 @@ def _gem_finish(g: Graph, k: int, parts: list[int], inst: FaugInstance,
     return FaugResult(False, (), "cleaned components too small")
 
 
-def _component_dominator(g: Graph, comp: int, centers: tuple[int, ...]) -> int:
-    for c in centers:
-        if comp & ~g.adj[c] == 0:
-            return c
-    # fall back to any center seeing part of the component
-    for c in centers:
-        if comp & g.adj[c]:
-            return c
-    return centers[0]
+def _path_dominator(inst: FaugInstance, p4: tuple[int, ...]) -> int:
+    """A vertex of the instance adjacent to all four path vertices: with the
+    path it induces a gem."""
+    common = inst.mask
+    for v in p4:
+        common &= inst.graph.adj[v]
+    if not common:
+        raise ValueError("no vertex sees the whole path of four, so it certifies no gem")
+    return next(bits(common))

@@ -29,11 +29,13 @@ def _search_order(h: Graph) -> list[int]:
     return order
 
 
-def find_induced(g: Graph, h: HPattern | Graph, cap: int = PATTERN_CAP) -> dict[int, int] | None:
-    """First embedding of ``h`` as an induced subgraph of ``g``, or None.
+def find_induced(g: Graph, h: HPattern | Graph, cap: int = PATTERN_CAP,
+                 mask: int | None = None) -> dict[int, int] | None:
+    """First embedding of ``h`` as an induced subgraph of ``g[mask]``
+    (default: all of ``g``), or None.
 
     The embedding maps pattern vertices to host vertices.  Exhaustive: a
-    None answer means no vertex subset of g induces h.
+    None answer means no vertex subset of g[mask] induces h.
     """
     hg = h.graph if isinstance(h, HPattern) else h
     if hg.n > cap:
@@ -52,7 +54,7 @@ def find_induced(g: Graph, h: HPattern | Graph, cap: int = PATTERN_CAP) -> dict[
             cons.append((j, hg.has_edge(pv, order[j])))
         constraints.append(cons)
 
-    full = g.full_mask
+    full = g.full_mask if mask is None else mask
     image = [0] * hg.n
     used = 0
 

@@ -52,9 +52,8 @@ def kernel_krfree(g: Graph, k: int, r: int) -> KernelResult:
 
 # -- clique minus a two-leaf star ---------------------------------------------
 
-def _maximalize_clique(g: Graph, clique: int) -> int:
-    cand = g.full_mask & ~clique
-    for v in bits(cand):
+def _maximalize_clique(g: Graph, clique: int, mask: int) -> int:
+    for v in bits(mask & ~clique):
         if clique & ~g.adj[v] == 0:
             clique |= 1 << v
     return clique
@@ -100,7 +99,9 @@ def kernel_paw_like(g: Graph, k: int, r: int) -> KernelResult:
     parts; interleaved with sound component reductions (complete
     multipartite components collapse to their largest part, clique-free
     components resolve by the Ramsey kernel, and a large greedy independent
-    set answers yes outright).
+    set answers yes outright).  Every rule works on the mask of the
+    vertices still kept, so witnesses and violations name input vertices;
+    the reduced graph is copied once, for the result.
     """
     if r < 4:
         raise ValueError("need r >= 4")
@@ -109,121 +110,111 @@ def kernel_paw_like(g: Graph, k: int, r: int) -> KernelResult:
     q = (k - 1) * (r - 4) + 1
     clique_floor = max(q, 2 * r - 6)
 
-    cur = g
-    kept = list(range(g.n))
+    alive = g.full_mask
     trace: list[str] = []
 
     for _ in range(g.n + 1):
-        if cur.n < k:
+        if alive.bit_count() < k:
             return KernelResult("solved_no", None, k, trace=trace + ["fewer than k vertices"])
-        gi = greedy_independent_set(cur)
+        gi = greedy_independent_set(g, alive)
         if gi.bit_count() >= k:
-            wit = tuple(sorted(kept[v] for v in bits(gi)))
             trace.append("greedy independent set reached k")
-            return KernelResult("solved_yes", None, k, wit, trace=trace)
+            return KernelResult("solved_yes", None, k, tuple(bits(gi)), trace=trace)
 
-        changed, result = _component_passes(cur, kept, k, r, trace)
+        reduced, result = _component_passes(g, alive, k, r, trace)
         if result is not None:
             return result
-        if changed:
-            cur, kept = changed
+        if reduced is not None:
+            alive = reduced
             continue
 
-        out = eh_extract(cur, r, 2)
+        out = eh_extract(g, r, 2, mask=alive)
         if out.kind == "independent_set":
             if out.size >= k:
                 trace.append("extracted independent set reached k")
-                return KernelResult("solved_yes", None, k,
-                                    tuple(sorted(kept[v] for v in out.members)), trace=trace)
-            trace.append(f"extractor returned a small independent set at n={cur.n}")
+                return KernelResult("solved_yes", None, k, out.members, trace=trace)
+            trace.append(f"extractor returned a small independent set at n={alive.bit_count()}")
             break
-        clique = _maximalize_clique(cur, mask_of(out.members))
+        clique = _maximalize_clique(g, mask_of(out.members), alive)
         if clique.bit_count() <= clique_floor:
             trace.append(f"clique size {clique.bit_count()} at or below floor {clique_floor}")
             break
 
-        reduced = _star_kernel_rule(cur, kept, k, r, q, clique, trace)
+        reduced = _star_kernel_rule(g, alive, r, q, clique, trace)
         if reduced is None:
             break
-        cur, kept = reduced
+        alive = reduced
 
-    return KernelResult("reduced", cur, k, kept_vertices=tuple(kept), trace=trace)
+    sub, kept = g.induced(alive)
+    return KernelResult("reduced", sub, k, kept_vertices=tuple(kept), trace=trace)
 
 
-def _component_passes(cur: Graph, kept: list[int], k: int, r: int, trace: list[str]):
-    """Sound per-component reductions; returns ((graph, kept), None) on a
-    deletion, (None, KernelResult) when solved, (None, None) otherwise."""
-    comps = cur.connected_components()
+def _component_passes(g: Graph, alive: int, k: int, r: int, trace: list[str]):
+    """Sound per-component reductions on G[alive]; returns (kept mask, None)
+    on a deletion, (None, KernelResult) when solved, (None, None)
+    otherwise."""
+    comps = g.connected_components(alive)
     # one vertex per component is independent
     if len(comps) >= k:
-        wit = tuple(sorted(kept[next(bits(c))] for c in comps[:k]))
+        wit = tuple(next(bits(c)) for c in comps[:k])
         trace.append("k components")
         return None, KernelResult("solved_yes", None, k, wit, trace=list(trace))
     for comp in comps:
-        parts = _complete_multipartite_parts(cur, comp)
+        parts = _complete_multipartite_parts(g, comp)
         if parts is not None and len(parts) >= 2:
             largest = max(parts, key=int.bit_count)
             drop = comp & ~largest
             if drop:
                 trace.append(f"multipartite component collapsed to its largest part ({largest.bit_count()})")
-                return _delete(cur, kept, drop), None
+                return alive & ~drop, None
     for comp in comps:
-        omega = cur.max_clique(comp).bit_count()
+        omega = g.max_clique(comp).bit_count()
         if comp.bit_count() >= ramsey_bound(omega + 1, k):
-            out = ramsey_extract(cur, omega + 1, k, comp)
+            out = ramsey_extract(g, omega + 1, k, comp)
             if out.kind != "independent_set":
                 raise InternalCheckError(
                     f"component has a clique larger than its clique number {omega}")
-            wit = tuple(sorted(kept[v] for v in out.members))
             trace.append(f"component saturated the bound for clique number {omega}")
-            return None, KernelResult("solved_yes", None, k, wit, trace=list(trace))
+            return None, KernelResult("solved_yes", None, k, out.members, trace=list(trace))
     return None, None
 
 
-def _star_kernel_rule(cur: Graph, kept: list[int], k: int, r: int, q: int,
-                      clique: int, trace: list[str]):
-    """One application of the part-deletion rule around a maximal clique,
-    with all structural prerequisites verified; None when inapplicable."""
+def _star_kernel_rule(g: Graph, alive: int, r: int, q: int, clique: int,
+                      trace: list[str]) -> int | None:
+    """One application of the part-deletion rule around a maximal clique of
+    G[alive], with all structural prerequisites verified; the kept mask, or
+    None when inapplicable."""
     neighborhood = 0
     for v in bits(clique):
-        neighborhood |= cur.adj[v]
-    neighborhood &= ~clique
-    b_mask = d_mask = 0
+        neighborhood |= g.adj[v]
+    neighborhood &= alive & ~clique
+    b_mask = 0
     csize = clique.bit_count()
     for u in bits(neighborhood):
-        deg_c = (cur.adj[u] & clique).bit_count()
+        deg_c = (g.adj[u] & clique).bit_count()
         if deg_c == csize - 1:
             b_mask |= 1 << u
-        elif deg_c <= r - 4:
-            d_mask |= 1 << u
-        else:
-            nbrs = list(bits(cur.adj[u] & clique))[: r - 3]
-            nons = list(bits(clique & ~cur.adj[u]))[:2]
+        elif deg_c > r - 4:
+            nbrs = list(bits(g.adj[u] & clique))[: r - 3]
+            nons = list(bits(clique & ~g.adj[u]))[:2]
             raise PatternViolationError(
-                f"K{r}-K1,2",
-                tuple(kept[x] for x in (u, *nbrs, *nons)),
-                "neighbor with intermediate core degree")
+                f"K{r}-K1,2", (u, *nbrs, *nons), "neighbor with intermediate core degree")
 
-    try:
-        parts = _multipartite_classes(cur, clique, b_mask, r)
-    except PatternViolationError as exc:
-        raise PatternViolationError(exc.pattern_name,
-                                    tuple(kept[v] for v in exc.vertices)) from None
+    parts = _multipartite_classes(g, clique, b_mask, r)
 
-    outside = cur.full_mask & ~clique & ~b_mask
+    outside = alive & ~clique & ~b_mask
     for u in bits(outside):
-        touched = [pi for pi, p in enumerate(parts) if cur.adj[u] & p]
+        touched = [pi for pi, p in enumerate(parts) if g.adj[u] & p]
         if len(touched) > r - 4:
-            ys = [next(bits(parts[pi] & cur.adj[u])) for pi in touched[: r - 3]]
-            spare = clique & ~cur.adj[u]
+            ys = [next(bits(parts[pi] & g.adj[u])) for pi in touched[: r - 3]]
+            spare = clique & ~g.adj[u]
             for pi in touched[: r - 3]:
                 spare &= ~parts[pi]
             xs = list(bits(spare))[:2]
             if len(xs) != 2:
                 raise InternalCheckError("clique floor guarantees spare core vertices")
             raise PatternViolationError(
-                f"K{r}-K1,2", tuple(kept[x] for x in (u, *ys, *xs)),
-                "outside vertex touching too many parts")
+                f"K{r}-K1,2", (u, *ys, *xs), "outside vertex touching too many parts")
 
     parts.sort(key=int.bit_count, reverse=True)
     drop = 0
@@ -233,12 +224,7 @@ def _star_kernel_rule(cur: Graph, kept: list[int], k: int, r: int, q: int,
         trace.append("part-deletion rule inapplicable")
         return None
     trace.append(f"deleted {drop.bit_count()} vertices beyond the {q} largest parts")
-    return _delete(cur, kept, drop)
-
-
-def _delete(cur: Graph, kept: list[int], drop: int):
-    sub, sub_map = cur.induced(cur.full_mask & ~drop)
-    return sub, [kept[v] for v in sub_map]
+    return alive & ~drop
 
 
 def _complete_multipartite_parts(g: Graph, comp: int) -> list[int] | None:
@@ -296,7 +282,7 @@ def turing_kernel_star(g: Graph, k: int, r: int) -> TuringKernelOutput:
         if out.size >= k:
             return TuringKernelOutput([(Graph(0), 0)], notes=["extractor found the set"])
         return TuringKernelOutput([(g, k)], notes=["small instance (extractor bound)"])
-    clique = _maximalize_clique(g, mask_of(out.members))
+    clique = _maximalize_clique(g, mask_of(out.members), g.full_mask)
     csize = clique.bit_count()
     if csize <= r * r:
         return TuringKernelOutput([(g, k)], notes=["small instance (bounded clique)"])
@@ -352,10 +338,13 @@ def solve_via_turing(g: Graph, k: int, r: int, budget: int = 10_000_000) -> bool
     subinstances support; yes iff the component maxima sum to k."""
     total = 0
     for comp in g.connected_components():
-        sub, _ = g.induced(comp)
+        sub, kept = g.induced(comp)
         best = 0
         for i in range(1, k + 1):
-            out = turing_kernel_star(sub, i, r)
+            try:
+                out = turing_kernel_star(sub, i, r)
+            except PatternViolationError as exc:
+                raise exc.lifted(kept) from None
             hit = any(alpha_exact(j_g, budget).alpha >= j_k for j_g, j_k in out.subinstances)
             if hit:
                 best = i

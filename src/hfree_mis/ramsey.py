@@ -190,24 +190,29 @@ def _eh_rec(g: Graph, mask: int, r: int, s: int, ops: _OpCounter) -> tuple[str, 
     return "independent_set", indep
 
 
-def eh_extract(g: Graph, r: int, s: int, ops_limit: int | None = None) -> RamseyOutcome:
+def eh_extract(g: Graph, r: int, s: int, ops_limit: int | None = None,
+               mask: int | None = None) -> RamseyOutcome:
     """Clique or independent set of size >= ceil(n^(1/(r-1))) in a
-    (K_r - K_{1,s})-free graph, in polynomial time.
+    (K_r - K_{1,s})-free graph G[mask] (default: all of G) on n vertices, in
+    polynomial time.
 
     Connectivity is not required by the recursion.  If a forbidden pattern
     is met mid-run the caller lied; the violation carries the embedding.
     """
     if not (1 <= s < r):
         raise ValueError("need 1 <= s < r")
-    if g.n == 0:
+    if mask is None:
+        mask = g.full_mask
+    n = mask.bit_count()
+    if n == 0:
         raise ValueError("empty graph")
-    ops = _OpCounter(ops_limit if ops_limit is not None else 50 * g.n**3 + 10_000)
-    kind, members = _eh_rec(g, g.full_mask, r, s, ops)
-    target = ceil_root(g.n, r - 1)
-    if members.bit_count() < target and g.n >= ramsey_bound(target, target):
+    ops = _OpCounter(ops_limit if ops_limit is not None else 50 * n**3 + 10_000)
+    kind, members = _eh_rec(g, mask, r, s, ops)
+    target = ceil_root(n, r - 1)
+    if members.bit_count() < target and n >= ramsey_bound(target, target):
         # pattern-oblivious fallback keeps the size contract at small n
-        out = ramsey_extract(g, target, target)
-        ops.charge(g.n)
+        out = ramsey_extract(g, target, target, mask)
+        ops.charge(n)
         return out
     out = RamseyOutcome(kind, tuple(bits(members)))
     out.validate(g)

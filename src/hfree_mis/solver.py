@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .cluster import solve_cluster_free
 from .errors import InternalCheckError, PatternViolationError, UnsupportedPatternError
@@ -44,12 +45,15 @@ from .faug import (
     solve_faug_clique_minus_triangle,
     solve_faug_gem,
 )
-from .graph import Graph, bits
+from .graph import Graph, bits, mask_of
 from .induced import find_induced, is_isomorphic
 from .iterexp import StageConfig, StageOutcome, g_faithful, iterexp_driver, ramsey_extraction_stage
 from .kernelize import kernel_paw_like, solve_via_turing
 from .oracle import DEFAULT_BUDGET, alpha_exact, greedy_independent_set
 from .patterns import FamilyMatch, HPattern, path, pattern, recognize_family
+
+
+EXTRA_SEED_SETS = 2       # expansion batch size above f(k) in desk mode
 
 
 @dataclass
@@ -58,11 +62,8 @@ class SolveConfig:
     ``solve_paper``."""
 
     faithful: bool = False
-    extra_seed_sets: int = 2          # batch size above f(k) in desk mode
-    stage: StageConfig = field(default_factory=StageConfig)
     separation_rounds: int = 256
     gem_rounds: int = 8
-    part_threshold: int | None = None  # override the small-part branching bound
     budget: int = DEFAULT_BUDGET
 
 
@@ -102,15 +103,25 @@ def solve_hfree(g: Graph, k: int, h: HPattern | Graph | str, seed: int = 0,
 def _recognize(h: HPattern | Graph | str) -> FamilyMatch | None:
     """H's supported family, or None for the three-vertex path; raises
     UnsupportedPatternError for every other pattern."""
-    if isinstance(h, str):
-        h = pattern(h)
-    hg = h.graph if isinstance(h, HPattern) else h
+    return _family(*_named(h))
+
+
+def _named(h: HPattern | Graph | str) -> tuple[str | None, Graph]:
+    """H's name (None for a bare graph), and its graph."""
+    hp = pattern(h) if isinstance(h, str) else h
+    hg = hp.graph if isinstance(hp, HPattern) else hp
+    return getattr(hp, "name", None), hg
+
+
+@lru_cache(maxsize=256)
+def _family(name: str | None, hg: Graph) -> FamilyMatch | None:
+    """``_recognize`` for the pattern graph ``hg`` named ``name``, run once
+    per pattern (graphs hash by their adjacency rows)."""
     if is_isomorphic(hg, path(3)):
         return None
     fam = recognize_family(hg)
     if fam is None:
-        raise UnsupportedPatternError(f"pattern {getattr(h, 'name', None) or hg!r} "
-                                      "is outside the supported families")
+        raise UnsupportedPatternError(f"pattern {name or hg!r} is outside the supported families")
     if fam.kind == "clique_minus_clique":
         r, s = fam.params
         if s == 3 and r - 3 < 2:
@@ -128,8 +139,37 @@ def solve_paper(g: Graph, k: int, h: HPattern | Graph | str, seed: int = 0,
                 config: SolveConfig | None = None) -> SolveOutcome:
     """The paper's pipeline for the same question as ``solve_hfree``, kept as
     a tested reproduction.  Decisions are exact; the Turing-kernel route
-    (K_r - K_{1,r-2}) answers yes without a witness."""
-    config = config or SolveConfig()
+    (K_r - K_{1,r-2}) answers yes without a witness.
+
+    A PatternViolationError names the caller's H and input vertices that
+    induce it: every embedding a layer reports is checked with
+    ``find_induced`` before it leaves."""
+    try:
+        return _solve_paper(g, k, h, seed, config or SolveConfig())
+    except PatternViolationError as exc:
+        raise _certified(g, h, exc) from None
+
+
+def _certified(g: Graph, h: HPattern | Graph | str, exc: PatternViolationError) -> PatternViolationError:
+    """The violation as an induced copy of the caller's H among its reported
+    vertices; when they hold none, the first copy in the input, with a
+    message that says so.  An H-free input means the report was false:
+    InternalCheckError."""
+    name, hg = _named(h)
+    name = name or repr(hg)
+    emb = find_induced(g, hg, mask=mask_of(exc.vertices) & g.full_mask)
+    if emb is not None:
+        return PatternViolationError(name, tuple(emb.values()), exc.message)
+    emb = find_induced(g, hg)
+    if emb is None:
+        raise InternalCheckError(f"reported {exc.pattern_name} on {exc.vertices}, "
+                                 f"but the input is {name}-free")
+    return PatternViolationError(name, tuple(emb.values()), "found by searching the input; "
+                                 f"the report named {exc.pattern_name} on {exc.vertices}")
+
+
+def _solve_paper(g: Graph, k: int, h: HPattern | Graph | str, seed: int,
+                 config: SolveConfig) -> SolveOutcome:
     rng = random.Random(seed)
     if config.faithful and k > 2:
         raise ValueError("faithful thresholds are only computable for k <= 2")
@@ -151,8 +191,11 @@ def solve_paper(g: Graph, k: int, h: HPattern | Graph | str, seed: int = 0,
         if s == 2:
             return _solve_by_paw_kernel(g, k, r + 1, seed, config)
         rho = r - 3
-        runner = _triangle_runner(rho, rng, config)
-        return _expansion_solve(g, k, rho, runner, rng, config,
+
+        def triangle(inst, solve):
+            return solve_faug_clique_minus_triangle(
+                inst, rho, rng, solve, separation_rounds=config.separation_rounds)
+        return _expansion_solve(g, k, rho, triangle, rng, config,
                                 f"clique-minus-triangle rho={rho}", seed)
 
     if fam.kind == "clique_minus_bipartite":
@@ -164,12 +207,15 @@ def solve_paper(g: Graph, k: int, h: HPattern | Graph | str, seed: int = 0,
             return SolveOutcome(yes, (), k, f"turing kernel r={r}", seed,
                                 ["witness not reconstructed by the Turing driver"])
         rho = max(s1, s2, r - s1 - s2)
-        runner = _bipartite_runner(rho, config)
-        return _expansion_solve(g, k, 3 * rho, runner, rng, config,
+
+        def bipartite(inst, solve):
+            return solve_faug_clique_minus_bipartite(inst, rho, solve)
+        return _expansion_solve(g, k, 3 * rho, bipartite, rng, config,
                                 f"clique-minus-bipartite rho={rho}", seed)
 
-    runner = _gem_runner(rng, config)
-    return _expansion_solve(g, k, 1, runner, rng, config, "gem", seed)
+    def gem(inst, solve):
+        return solve_faug_gem(inst, rng, rounds=config.gem_rounds)
+    return _expansion_solve(g, k, 1, gem, rng, config, "gem", seed)
 
 
 def _solve_p3_free(g: Graph, k: int, seed: int) -> SolveOutcome:
@@ -211,19 +257,19 @@ def _expansion_solve(g: Graph, k: int, f_k: int, faug_runner, rng: random.Random
     the decision is exact even under desk-mode caps."""
     notes: list[str] = []
     stats = {"instances": 0, "structured_hits": 0, "fallback_branches": 0}
+    stage = StageConfig(faithful=config.faithful)
 
     def batch_size(kk: int) -> int:
         if config.faithful:
             return g_faithful(kk, f_k)
-        return f_k + max(0, config.extra_seed_sets)
+        return f_k + EXTRA_SEED_SETS
 
     def branch(gg: Graph, kk: int, vertices, solve) -> tuple[int, ...] | None:
         for v in vertices:
             stats["fallback_branches"] += 1
-            sub, kept = gg.induced(gg.full_mask & ~gg.closed_neighborhood(v))
-            wit = solve(sub, kk - 1)
+            wit = solve(gg.full_mask & ~gg.closed_neighborhood(v), kk - 1)
             if wit is not None:
-                return tuple(kept[w] for w in wit) + (v,)
+                return wit + (v,)
         return None
 
     def expansion(gg: Graph, kk: int, sets, solve) -> tuple[int, ...] | None:
@@ -235,7 +281,7 @@ def _expansion_solve(g: Graph, k: int, f_k: int, faug_runner, rng: random.Random
         if hit is not None:
             return hit
         # independent sets of size kk now avoid every seed set
-        outcome: StageOutcome = ramsey_extraction_stage(gg, kk, sets, f_k, rng, config.stage)
+        outcome: StageOutcome = ramsey_extraction_stage(gg, kk, sets, f_k, rng, stage)
         if outcome.early_set is not None:
             return outcome.early_set
         for inst in outcome.instances:
@@ -246,9 +292,8 @@ def _expansion_solve(g: Graph, k: int, f_k: int, faug_runner, rng: random.Random
                 continue
             if res.found:
                 stats["structured_hits"] += 1
-                wit = inst.to_host(res.witness)
-                if gg.is_independent_set(wit) and len(wit) >= kk:
-                    return wit
+                if gg.is_independent_set(res.witness) and len(res.witness) >= kk:
+                    return res.witness
         # desk-mode caps may have truncated the branch space: close the
         # remaining case (a transversal avoiding the seed sets) soundly
         return branch(gg, kk, bits(gg.full_mask & ~used), solve)
@@ -260,25 +305,3 @@ def _expansion_solve(g: Graph, k: int, f_k: int, faug_runner, rng: random.Random
     if wit is not None:
         return SolveOutcome(True, tuple(sorted(wit)), k, method, seed, notes)
     return SolveOutcome(False, (), k, method, seed, notes)
-
-
-def _triangle_runner(rho: int, rng: random.Random, config: SolveConfig):
-    def run(inst, callback):
-        return solve_faug_clique_minus_triangle(
-            inst, rho, rng, callback,
-            separation_rounds=config.separation_rounds,
-            part_threshold=config.part_threshold)
-    return run
-
-
-def _bipartite_runner(rho: int, config: SolveConfig):
-    def run(inst, callback):
-        return solve_faug_clique_minus_bipartite(
-            inst, rho, callback, part_threshold=config.part_threshold)
-    return run
-
-
-def _gem_runner(rng: random.Random, config: SolveConfig):
-    def run(inst, callback):
-        return solve_faug_gem(inst, rng, rounds=config.gem_rounds)
-    return run

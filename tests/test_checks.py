@@ -1,4 +1,5 @@
-"""Soundness checks are explicit raises, so they survive ``python -O``."""
+"""Soundness checks are explicit raises, so they survive ``python -O``, and
+vertex subsets are masks of the graph at hand, not relabelled copies."""
 
 import ast
 import os
@@ -18,6 +19,41 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == [], f"assert statements vanish under python -O: {found}"
+
+
+# (module, enclosing function) allowed to make a relabelled copy; None
+# allows the whole module
+RELABELLING_SITES = {
+    ("iterexp", "solve_within"),          # the expansion driver's memo key
+    ("kernelize", "kernel_paw_like"),     # the reduced graph it returns
+    ("kernelize", "_reduced_sub"),        # the Turing route's subinstances
+    ("kernelize", "solve_via_turing"),
+    ("kernelize", "solve_via_isolated_clique"),
+    ("classify", None),                   # patterns of at most 10 vertices
+}
+
+
+def _induced_calls(tree: ast.AST):
+    """(enclosing function name, line) of every ``<graph>.induced(...)``."""
+    def walk(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "induced"):
+            yield func, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, func)
+    return walk(tree, None)
+
+
+def test_relabelling_sites():
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} in {func}" for func, line in _induced_calls(tree)
+                  if (path.stem, None) not in RELABELLING_SITES
+                  and (path.stem, func) not in RELABELLING_SITES]
+    assert found == [], f"relabelled copies outside the allowed sites: {found}"
 
 
 def test_internal_check_survives_optimize_flag():

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from hfree_mis.cograph import cograph_alpha, cograph_clique_cover, find_p4, is_p4_free, random_cograph
-from hfree_mis.errors import PatternViolationError
+from hfree_mis import cograph
+from hfree_mis.cograph import cograph_alpha, cograph_decompose, find_p4, is_p4_free, random_cograph
+from hfree_mis.errors import InternalCheckError, PatternViolationError
 from hfree_mis.graph import mask_of
 from hfree_mis.oracle import alpha_exact
 from hfree_mis.patterns import complete_bipartite, path, pattern
@@ -19,10 +20,10 @@ def test_p4_detected():
 
 def test_complete_bipartite_alpha_and_cover():
     g = complete_bipartite(3, 3)
-    alpha, wit = cograph_alpha(g)
+    alpha, wit, cover = cograph_decompose(g)
     assert alpha == 3 and g.is_independent_mask(wit)
-    cover = cograph_clique_cover(g)
     assert len(cover) == 3
+    assert cograph_alpha(g) == (alpha, wit)
 
 
 def test_p4_inputs_raise_with_witness():
@@ -40,7 +41,7 @@ def test_random_cographs_match_oracle():
         assert is_p4_free(g)
         alpha, wit = cograph_alpha(g)
         assert alpha == alpha_exact(g).alpha
-        cover = cograph_clique_cover(g)
+        _, _, cover = cograph_decompose(g)
         assert len(cover) == alpha
         total = 0
         for cls in cover:
@@ -59,3 +60,17 @@ def test_alpha_within_mask():
     alpha, wit = cograph_alpha(g, mask)
     assert alpha == 2 and g.is_independent_mask(wit)
     assert not (wit >> apex & 1) or wit.bit_count() == 1
+
+
+def test_cover_that_misses_vertices_raises_internal_check(monkeypatch):
+    """A recursion that drops a component still returns an independent
+    witness and a cover of cliques of equal size; only the union check sees
+    that the cover no longer bounds alpha."""
+    split = cograph._cotree_split
+
+    def drop_last_component(g, co, m):
+        kind, parts = split(g, co, m)
+        return kind, parts[:-1] if kind == "union" else parts
+    monkeypatch.setattr(cograph, "_cotree_split", drop_last_component)
+    with pytest.raises(InternalCheckError):
+        cograph_decompose(pattern("2K2").graph)

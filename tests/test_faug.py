@@ -21,9 +21,14 @@ from hfree_mis.planted import (
 )
 
 
-def _oracle_callback(g, k):
-    res = alpha_exact(g)
-    return res.witness[:k] if res.alpha >= k else None
+def _oracle_callback(g):
+    """Branching callback on g: ``callback(mask, k)`` asks the oracle for an
+    independent set of size k in g[mask], named in g's vertex ids."""
+    def callback(mask, k):
+        sub, kept = g.induced(mask)
+        res = alpha_exact(sub)
+        return tuple(kept[v] for v in res.witness[:k]) if res.alpha >= k else None
+    return callback
 
 
 def _rainbow_exists(inst):
@@ -50,7 +55,7 @@ def test_triangle_solver_finds_planted():
     for seed in range(6):
         rng = random.Random(seed)
         inst, planted = planted_path_instance(4, 3, rng)
-        res = solve_faug_clique_minus_triangle(inst, 3, rng, _oracle_callback,
+        res = solve_faug_clique_minus_triangle(inst, 3, rng, _oracle_callback(inst.graph),
                                                part_threshold=1)
         assert res.found
         assert inst.graph.is_independent_set(res.witness)
@@ -59,7 +64,7 @@ def test_triangle_solver_finds_planted():
 def test_triangle_solver_dp_route_no_long_edges():
     rng = random.Random(3)
     inst, planted = planted_path_instance(6, 3, rng, long_edges=0)
-    res = solve_faug_clique_minus_triangle(inst, 3, rng, _oracle_callback,
+    res = solve_faug_clique_minus_triangle(inst, 3, rng, _oracle_callback(inst.graph),
                                            separation_rounds=1, part_threshold=1)
     assert res.found
 
@@ -71,7 +76,7 @@ def test_triangle_solver_separation_success_rate():
     for t in range(trials):
         rng = random.Random(100 + t)
         inst, planted = planted_path_instance(6, 3, rng, long_edges=3)
-        res = solve_faug_clique_minus_triangle(inst, 3, rng, _oracle_callback,
+        res = solve_faug_clique_minus_triangle(inst, 3, rng, _oracle_callback(inst.graph),
                                                separation_rounds=1024, part_threshold=1)
         hits += res.found
     assert hits >= trials // 2
@@ -93,7 +98,7 @@ def test_triangle_solver_one_sided_on_no_instance():
     assert _rainbow_exists(inst2) is None
     for seed in range(5):
         res = solve_faug_clique_minus_triangle(inst2, 3, random.Random(seed),
-                                               _oracle_callback, part_threshold=1,
+                                               _oracle_callback(inst2.graph), part_threshold=1,
                                                separation_rounds=64)
         assert not res.found
 
@@ -102,7 +107,7 @@ def test_triangle_solver_small_part_branching():
     rng = random.Random(13)
     inst, planted = planted_path_instance(4, 3, rng)
     # with the faithful threshold every part is small: branching decides
-    res = solve_faug_clique_minus_triangle(inst, 3, rng, _oracle_callback)
+    res = solve_faug_clique_minus_triangle(inst, 3, rng, _oracle_callback(inst.graph))
     assert res.found
 
 
@@ -122,7 +127,7 @@ def test_bipartite_solver_finds_planted():
     for seed in range(5):
         rng = random.Random(seed)
         inst, planted = planted_bipartite_instance(3, 2, rng)
-        res = solve_faug_clique_minus_bipartite(inst, 2, _oracle_callback,
+        res = solve_faug_clique_minus_bipartite(inst, 2, _oracle_callback(inst.graph),
                                                 part_threshold=1)
         assert res.found
         assert inst.graph.is_independent_set(res.witness)
@@ -132,7 +137,7 @@ def test_bipartite_solver_matches_exhaustive():
     for seed in range(12):
         rng = random.Random(40 + seed)
         inst, planted = planted_bipartite_instance(3, 2, rng, part_size=3)
-        res = solve_faug_clique_minus_bipartite(inst, 2, _oracle_callback,
+        res = solve_faug_clique_minus_bipartite(inst, 2, _oracle_callback(inst.graph),
                                                 part_threshold=1)
         has = _rainbow_exists(inst) is not None or alpha_exact(inst.graph).alpha >= inst.k
         assert res.found == has or (res.found and alpha_exact(inst.graph).alpha >= inst.k)
@@ -172,7 +177,7 @@ def test_bipartite_missing_clique_is_certified():
     rc = RamseyCliques.build(g, tuple(cliques))
     inst = FaugInstance.build(g, k, tuple(mask_of(p) for p in parts), rc)
     with pytest.raises(PatternViolationError) as err:
-        solve_faug_clique_minus_bipartite(inst, r, _oracle_callback, part_threshold=1)
+        solve_faug_clique_minus_bipartite(inst, r, _oracle_callback(inst.graph), part_threshold=1)
     emb = err.value.vertices
     sub, _ = g.induced(sum(1 << v for v in emb))
     assert find_induced(sub, clique_minus_bipartite(3 * r, r, r)) is not None
@@ -203,7 +208,7 @@ def test_bipartite_bridging_part_is_certified():
     assert rc.relations[0][1] == "empty"
     inst = FaugInstance.build(g, k, tuple(mask_of(p) for p in parts), rc)
     with pytest.raises(PatternViolationError) as err:
-        solve_faug_clique_minus_bipartite(inst, r, _oracle_callback, part_threshold=1)
+        solve_faug_clique_minus_bipartite(inst, r, _oracle_callback(inst.graph), part_threshold=1)
     assert "bridges" in str(err.value)
     emb = err.value.vertices
     sub, _ = g.induced(sum(1 << v for v in emb))
@@ -218,7 +223,7 @@ def test_bipartite_smallest_parameters():
     g = Graph(5, edges)  # this is the complete graph on five vertices
     rc = RamseyCliques.build(g, ((0, 1, 2),))
     inst = FaugInstance.build(g, 2, (mask_of([3]), mask_of([4])), rc)
-    res = solve_faug_clique_minus_bipartite(inst, 1, _oracle_callback, part_threshold=1)
+    res = solve_faug_clique_minus_bipartite(inst, 1, _oracle_callback(inst.graph), part_threshold=1)
     assert not res.found
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hfree_mis.errors import PatternViolationError
 from hfree_mis.graph import Graph, mask_of, random_graph
 from hfree_mis.iterexp import (
     FaugInstance,
@@ -15,7 +16,7 @@ from hfree_mis.iterexp import (
     ramsey_extraction_stage,
 )
 from hfree_mis.oracle import alpha_exact
-from hfree_mis.patterns import empty_graph
+from hfree_mis.patterns import complete, empty_graph
 
 
 def _two_cliques(relation: str, q: int = 3) -> Graph:
@@ -152,6 +153,20 @@ def test_driver_branches_when_building_stalls():
         assert hit is not None and len(hit) >= k
 
 
+def test_driver_lifts_violations_from_its_copies():
+    """A violation raised inside the driver's relabelled copy of G[mask]
+    names vertices of the graph the driver was given."""
+    g = complete(8)
+
+    def expansion(gg, kk, sets, solve):
+        if gg.n == g.n:
+            return solve(mask_of((1, 3, 5, 7)), kk)
+        raise PatternViolationError("test", (1, 2))  # ids of the copy
+    with pytest.raises(PatternViolationError) as err:
+        iterexp_driver(g, 2, lambda kk: 1, expansion)
+    assert err.value.vertices == (3, 5)
+
+
 def test_stage_k2_type_classification():
     # two seed sets of one vertex each, non-adjacent: relation empty
     g = empty_graph(6)
@@ -193,14 +208,7 @@ def test_stage_good_branch_carries_planted_transversal():
                                       StageConfig(color_rounds=rounds))
         good = False
         for inst in out.instances:
-            host = [inst.host_map[v] if inst.host_map else v
-                    for v in range(inst.graph.n)]
-            placed = []
-            for p in inst.parts:
-                hit = [host[v] for v in
-                       (i for i in range(inst.graph.n) if p >> i & 1)
-                       if host[v] in planted]
-                placed.append(hit)
+            placed = [[v for v in planted if p >> v & 1] for p in inst.parts]
             if all(len(h) >= 1 for h in placed):
                 good = True
                 break

@@ -140,6 +140,18 @@ def test_turing_driver_component_sum():
     assert not solve_via_turing(complete(8), 2, 5)
 
 
+def test_turing_driver_violation_names_input_vertices():
+    """A violation found in a component's relabelled copy names vertices of
+    the input: here a K_26 with a two-vertex tail, after an edge."""
+    clique = complete(26)
+    tail = Graph(28, clique.edges() + [(26, v) for v in range(26)] + [(26, 27)])
+    g = disjoint_union(complete(2), tail)
+    with pytest.raises(PatternViolationError) as err:
+        solve_via_turing(g, 3, 5)
+    sub, _ = g.induced(sum(1 << v for v in err.value.vertices))
+    assert find_induced(sub, clique_minus_star(5, 3)) is not None
+
+
 def test_turing_driver_oracle_equivalence():
     graphs = sample_hfree(clique_minus_star(5, 3), 40, 24, seed=51,
                           densities=(0.08, 0.15, 0.25))

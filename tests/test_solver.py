@@ -1,10 +1,12 @@
 import random
+import zlib
 
 import pytest
 
 from hfree_mis import solver
 from hfree_mis.errors import InternalCheckError, PatternViolationError, UnsupportedPatternError
-from hfree_mis.graph import Graph, complement, random_graph
+from hfree_mis.graph import Graph, complement, mask_of, random_graph
+from hfree_mis.induced import find_induced
 from hfree_mis.oracle import alpha_exact
 from hfree_mis.patterns import complete, pattern
 from hfree_mis.solver import SolveConfig, solve_hfree, solve_paper
@@ -65,8 +67,10 @@ def test_p3_route_rejects_non_cluster():
 def test_unsupported_patterns_raise():
     g = complete(4)
     for solve in (solve_hfree, solve_paper):
-        with pytest.raises(UnsupportedPatternError):
+        with pytest.raises(UnsupportedPatternError, match="^pattern 'C4' is outside"):
             solve(g, 2, "C4", seed=0)
+        with pytest.raises(UnsupportedPatternError, match=r"^pattern Graph\(n=5, m=4\) is outside"):
+            solve(g, 2, pattern("P5").graph, seed=0)
         with pytest.raises(UnsupportedPatternError):
             solve(g, 2, "K6-K4", seed=0)
         with pytest.raises(UnsupportedPatternError):
@@ -81,6 +85,21 @@ def test_faithful_mode_small_k():
         assert out.decision == (a >= 2)
     with pytest.raises(ValueError):
         solve_paper(graphs[0], 3, "gem", config=SolveConfig(faithful=True))
+
+
+def test_faithful_mode_runs_the_stage_without_caps(monkeypatch):
+    """``SolveConfig(faithful=True)`` reaches the Ramsey stage with its
+    faithful config, not with the desk caps."""
+    stage = solver.ramsey_extraction_stage
+    configs = []
+
+    def spy(g, k, sets, f_k, rng, config):
+        configs.append(config)
+        return stage(g, k, sets, f_k, rng, config)
+    monkeypatch.setattr(solver, "ramsey_extraction_stage", spy)
+    out = solve_paper(complete(22), 2, "gem", config=SolveConfig(faithful=True))
+    assert not out.decision
+    assert configs and all(c.faithful for c in configs)
 
 
 def test_same_seed_same_outcome():
@@ -124,3 +143,52 @@ def test_p3_route_internal_check(monkeypatch):
     monkeypatch.setattr(solver, "find_induced", lambda g, h: None)
     with pytest.raises(InternalCheckError):
         solve_hfree(pattern("P4").graph, 2, "P3")
+
+
+@pytest.mark.parametrize("name, draws, n_range, p_range, min_raised", [
+    ("gem", 300, (9, 15), (0.5, 0.85), 4),
+    ("K5-K2", 100, (8, 14), (0.5, 0.9), 1),
+    # the triangle and bipartite rainbow solvers are rarely reached at this
+    # size, so these two mostly check witnesses
+    ("K6-K3", 100, (8, 14), (0.5, 0.9), 0),
+    ("K6-K2,2", 100, (8, 14), (0.5, 0.9), 0),
+    ("K5-K1,3", 100, (8, 14), (0.5, 0.9), 1),
+], ids=["gem", "K5-K2", "K6-K3", "K6-K2,2", "K5-K1,3"])
+def test_paper_pipeline_fuzz_on_inputs_that_are_not_h_free(name, draws, n_range, p_range, min_raised):
+    """Dense random graphs, mostly not H-free: every raised embedding induces
+    the caller's H in input vertex ids, and every witness is independent
+    with at least k vertices.  The layer's own report must already hold H:
+    ``solve_paper`` searching the input instead would hide a wrong lift."""
+    h = pattern(name)
+    rng = random.Random(zlib.crc32(f"{name}-fuzz".encode()))
+    raised = []
+    for i in range(draws):
+        g = random_graph(rng.randint(*n_range), rng.uniform(*p_range), rng)
+        k = alpha_exact(g).alpha + rng.randint(0, 1)
+        try:
+            out = solve_paper(g, k, name, seed=i)
+        except PatternViolationError as exc:
+            raised.append(i)
+            assert exc.pattern_name == name and len(exc.vertices) == h.n, (i, str(exc))
+            assert "found by searching the input" not in exc.message, (i, str(exc))
+            sub, _ = g.induced(mask_of(exc.vertices))
+            assert find_induced(sub, h) is not None, (i, str(exc))
+            continue
+        if out.decision:
+            check_yes_witness(g, out, k)
+    assert len(raised) >= min_raised, raised
+
+
+def test_paper_violations_are_certified(monkeypatch):
+    """A layer's report is re-checked against the caller's H: a false one is
+    replaced by a copy of H found in the input, or, when the input is
+    H-free, turned into InternalCheckError."""
+    def false_report(g, k, r):
+        raise PatternViolationError(f"K{r}-K1,2", (0, 1), "false report")
+    monkeypatch.setattr(solver, "kernel_paw_like", false_report)
+    with pytest.raises(PatternViolationError) as err:
+        solve_paper(pattern("K5-K2").graph, 2, "K5-K2")
+    assert (err.value.pattern_name, err.value.vertices) == ("K5-K2", (0, 1, 2, 3, 4))
+    assert "found by searching the input" in err.value.message
+    with pytest.raises(InternalCheckError):
+        solve_paper(complete(6), 2, "K5-K2")
