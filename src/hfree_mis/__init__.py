@@ -9,7 +9,7 @@ throughout; public results use sorted tuples of vertices.
 from .graph import Graph, complement, join, disjoint_union, random_graph
 from .patterns import HPattern, pattern
 from .induced import find_induced
-from .oracle import alpha_exact, AlphaResult
+from .oracle import alpha_exact, alpha_reaches, AlphaResult
 from .errors import (
     BudgetExceededError,
     InputFormatError,
@@ -27,7 +27,7 @@ from .classify import verdict, Verdict, find_clique_decomposition, join_factors,
 __all__ = [
     "Graph", "complement", "join", "disjoint_union", "random_graph",
     "HPattern", "pattern", "find_induced",
-    "alpha_exact", "AlphaResult",
+    "alpha_exact", "alpha_reaches", "AlphaResult",
     "BudgetExceededError", "InputFormatError", "InternalCheckError", "PatternViolationError", "UnsupportedPatternError",
     "ramsey_bound", "ramsey_multicolor_bound", "ramsey_extract", "eh_extract", "RamseyOutcome",
     "solve_cluster_free", "solve_hfree", "solve_paper", "SolveConfig", "SolveOutcome",

@@ -22,7 +22,7 @@ from .graph import Graph
 from .hardness import build_construction, gen_grid_tiling, lift_solution, or_compose
 from .io import emit_graph, parse_graph
 from .kernelize import kernel_krfree, kernel_paw_like, turing_kernel_star
-from .oracle import alpha_exact
+from .oracle import DEFAULT_BUDGET, alpha_exact
 from .patterns import parse_pattern
 from .solver import SolveConfig, solve_hfree, solve_paper
 
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact alpha by branch and bound")
     p.add_argument("--input", required=True)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("solve", help="decide an independent set of size k in an H-free graph")
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "with desk-mode caps or faithful thresholds (k <= 2)")
     p.add_argument("--repetitions", type=int, default=256,
                    help="randomised rounds of the desk and faithful modes")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("kernel", help="kernelize an instance")

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import InternalCheckError
-from .graph import Graph, bits, join
+from .graph import Graph, join, mask_of
 from .induced import find_induced
-from .oracle import alpha_exact
+from .oracle import DEFAULT_BUDGET, alpha_reaches
 from .patterns import HPattern, cycle as cycle_graph, star
 
 VARIANTS = ("first", "second", "third")
@@ -159,10 +159,12 @@ class ConstructionOutput:
     clique_at: dict                              # (i, j, key) -> vertex tuple
 
 
-def _edge_block(kind: str, src_elems, dst_elems):
-    """Cross edges between two cliques of the construction, as index pairs."""
+def _cross_rows(kind: str, src_elems, dst_elems) -> tuple[list[int], list[int]]:
+    """Cross edges between two cliques of the construction, as masks over
+    clique indices: ``rows[a]`` holds the b joined to the source's a-th
+    vertex, ``cols[b]`` the a joined to the target's b-th."""
     n = len(src_elems)
-    out = []
+    rows, cols = [0] * n, [0] * n
     for a in range(n):
         for b in range(n):
             if kind == "half":
@@ -176,8 +178,9 @@ def _edge_block(kind: str, src_elems, dst_elems):
             else:
                 raise ValueError(kind)
             if connect:
-                out.append((a, b))
-    return out
+                rows[a] |= 1 << b
+                cols[b] |= 1 << a
+    return rows, cols
 
 
 def build_tile_gadget(tile: tuple[tuple[int, int], ...], p: int, variant: str) -> ConstructionOutput:
@@ -202,59 +205,51 @@ def _build(gt: GridTiling, variant: str, p: int, connect_gadgets: bool) -> Const
     if per_gadget != 8 * (p + 1):
         raise InternalCheckError(f"gadget layout has {per_gadget} keys, expected {8 * (p + 1)}")
 
-    vertex_of = {}
-    labels = []
-    n = 0
+    # each clique is a block of n_t consecutive vertices, gadget by gadget
+    key_index = {key: idx for idx, key in enumerate(keys)}
+
+    def offset(i, j, key):
+        return ((i * k + j) * per_gadget + key_index[key]) * n_t
+
+    labels = [(i, j, key, a) for i in range(k) for j in range(k) for key in keys for a in range(n_t)]
+    adj = [0] * len(labels)
+    block = (1 << n_t) - 1
+
+    def join_cliques(rows_cols, src, dst):
+        rows, cols = rows_cols
+        for a, row in enumerate(rows):
+            adj[src + a] |= row << dst
+        for b, col in enumerate(cols):
+            adj[dst + b] |= col << src
+
+    cyc = 4 * p + 4
     for i in range(k):
         for j in range(k):
             for key in keys:
-                for a in range(n_t):
-                    vertex_of[(i, j, key, a)] = n
-                    labels.append((i, j, key, a))
-                    n += 1
-
-    edges = []
-
-    def clique_vertices(i, j, key):
-        return [vertex_of[(i, j, key, a)] for a in range(n_t)]
-
-    for i in range(k):
-        for j in range(k):
+                off = offset(i, j, key)
+                for v in range(off, off + n_t):
+                    adj[v] |= (block << off) ^ (1 << v)
             elems = gt.tiles[i][j]
-            for key in keys:
-                vs = clique_vertices(i, j, key)
-                edges.extend((vs[a], vs[b]) for a in range(n_t) for b in range(a + 1, n_t))
+            kinds = ("half", "row", "col") if variant == "first" else ("anti",)
+            inner = {kind: _cross_rows(kind, elems, elems) for kind in kinds}
             for arc in arcs:
                 kind = arc.kind if variant == "first" else "anti"
-                src = clique_vertices(i, j, arc.src)
-                dst = clique_vertices(i, j, arc.dst)
-                for a, b in _edge_block(kind, elems, elems):
-                    edges.append((src[a], dst[b]))
+                join_cliques(inner[kind], offset(i, j, arc.src), offset(i, j, arc.dst))
             if variant == "third":
-                cyc = 4 * p + 4
                 for attach in (0, p + 1, 2 * p + 2, 3 * p + 3):
-                    left = clique_vertices(i, j, ("cycle", (attach - 1) % cyc))
-                    right = clique_vertices(i, j, ("cycle", (attach + 1) % cyc))
-                    for a, b in _edge_block("anti", elems, elems):
-                        edges.append((left[a], right[b]))
+                    join_cliques(inner["anti"], offset(i, j, ("cycle", (attach - 1) % cyc)),
+                                 offset(i, j, ("cycle", (attach + 1) % cyc)))
 
     if connect_gadgets:
         for i in range(k):
             for j in range(k):
-                right = clique_vertices(i, j, _port_key("right", p))
-                nleft = clique_vertices(i, (j + 1) % k, _port_key("left", p))
-                for a, b in _edge_block("row", gt.tiles[i][j], gt.tiles[i][(j + 1) % k]):
-                    edges.append((right[a], nleft[b]))
-                bottom = clique_vertices(i, j, _port_key("bottom", p))
-                ntop = clique_vertices((i + 1) % k, j, _port_key("top", p))
-                for a, b in _edge_block("col", gt.tiles[i][j], gt.tiles[(i + 1) % k][j]):
-                    edges.append((bottom[a], ntop[b]))
-
-    dedup = set()
-    for u, v in edges:
-        if u != v:
-            dedup.add((min(u, v), max(u, v)))
-    graph = Graph(n, sorted(dedup), labels=labels)
+                join_cliques(_cross_rows("row", gt.tiles[i][j], gt.tiles[i][(j + 1) % k]),
+                             offset(i, j, _port_key("right", p)),
+                             offset(i, (j + 1) % k, _port_key("left", p)))
+                join_cliques(_cross_rows("col", gt.tiles[i][j], gt.tiles[(i + 1) % k][j]),
+                             offset(i, j, _port_key("bottom", p)),
+                             offset((i + 1) % k, j, _port_key("top", p)))
+    graph = Graph.from_adj(adj, labels)
 
     main = []
     clique_at = {}
@@ -262,7 +257,8 @@ def _build(gt: GridTiling, variant: str, p: int, connect_gadgets: bool) -> Const
     for i in range(k):
         for j in range(k):
             for key in keys:
-                vs = tuple(clique_vertices(i, j, key))
+                off = offset(i, j, key)
+                vs = tuple(range(off, off + n_t))
                 main.append(vs)
                 clique_at[(i, j, key)] = vs
                 if key[0] == "cycle":
@@ -317,14 +313,11 @@ def project_solution(independent: tuple[int, ...], out: ConstructionOutput):
     return solution
 
 
-def construction_alpha_reaches(out: ConstructionOutput, budget: int = 10_000_000) -> bool:
+def construction_alpha_reaches(out: ConstructionOutput, budget: int = DEFAULT_BUDGET) -> bool:
     """Does the construction have an independent set of size k_prime?
-    Uses the main cliques as the pruning cover."""
-    cover = [0] * len(out.main_cliques)
-    for idx, vs in enumerate(out.main_cliques):
-        for v in vs:
-            cover[idx] |= 1 << v
-    return alpha_exact(out.graph, budget, cover).alpha >= out.k_prime
+    A k-target search with the main cliques as the pruning cover."""
+    cover = [mask_of(vs) for vs in out.main_cliques]
+    return alpha_reaches(out.graph, out.k_prime, budget, cover) is not None
 
 
 # -- exclusion verification -----------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import InternalCheckError, PatternViolationError
 from .graph import Graph, bits, mask_of
-from .oracle import alpha_exact, greedy_independent_set
+from .oracle import DEFAULT_BUDGET, alpha_exact, greedy_independent_set
 from .ramsey import eh_extract, ramsey_bound, ramsey_extract
 
 
@@ -333,7 +333,7 @@ def _reduced_sub(g: Graph, mask: int, k_sub: int, r: int) -> tuple[Graph, int]:
     return sub, k_sub
 
 
-def solve_via_turing(g: Graph, k: int, r: int, budget: int = 10_000_000) -> bool:
+def solve_via_turing(g: Graph, k: int, r: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Decision driver: per connected component, the largest target its
     subinstances support; yes iff the component maxima sum to k."""
     total = 0
@@ -356,7 +356,7 @@ def solve_via_turing(g: Graph, k: int, r: int, budget: int = 10_000_000) -> bool
     return total >= k
 
 
-def solve_via_isolated_clique(g: Graph, k: int, r: int, budget: int = 10_000_000) -> bool:
+def solve_via_isolated_clique(g: Graph, k: int, r: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Decision for graphs excluding K_{r-1} plus an isolated vertex: guess a
     solution vertex, recurse into its non-neighborhood, which is
     K_{r-1}-free and shrinks by the Ramsey kernel."""

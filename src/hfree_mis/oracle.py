@@ -6,6 +6,10 @@ candidate set.  Branching picks the cover class with fewest remaining
 candidates and tries each of its vertices, plus the branch discarding the
 whole class.  A node budget makes the oracle fail loudly instead of
 hanging; it never returns a wrong answer.
+
+One search serves two entries: ``alpha_exact`` starts from a greedy
+independent set and returns alpha with a witness; ``alpha_reaches`` starts
+from the bound k - 1 and stops at the first independent set of k vertices.
 """
 
 from __future__ import annotations
@@ -60,39 +64,93 @@ def alpha_exact(g: Graph, budget: int = DEFAULT_BUDGET, cover: list[int] | None 
     """Exact alpha(G) with a witness, or BudgetExceededError.
 
     ``cover`` may supply a known clique cover (e.g. the main cliques of a
-    hardness construction) to sharpen pruning; it must partition V.
+    hardness construction) to sharpen pruning; every class must be a
+    clique and the classes must cover V, else ValueError.
     """
+    cover = _checked_cover(g, cover)
     if g.n == 0:
         return AlphaResult(0, (), 0)
-    if cover is None:
-        cover = greedy_clique_cover(g)
+    floor = greedy_independent_set(g)
+    best, nodes = _search(g, cover, floor, floor.bit_count(), g.n + 1, budget)
+    return AlphaResult(best.bit_count(), tuple(bits(best)), nodes)
 
-    best_mask = greedy_independent_set(g)
-    best = best_mask.bit_count()
+
+def alpha_reaches(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
+                  cover: list[int] | None = None) -> tuple[int, ...] | None:
+    """An independent set of exactly k vertices, or None when alpha(G) < k;
+    BudgetExceededError when the search runs out.
+
+    The same search as ``alpha_exact`` with the bound fixed at k - 1 and no
+    greedy floor: it prunes every branch that cannot reach k and stops at
+    the first set that does.  ``cover`` is checked as in ``alpha_exact``.
+    """
+    cover = _checked_cover(g, cover)
+    if k <= 0:
+        return ()
+    found, _nodes = _search(g, cover, 0, k - 1, k, budget)
+    return tuple(bits(found)) if found.bit_count() == k else None
+
+
+def _checked_cover(g: Graph, cover: list[int] | None) -> list[int]:
+    """The greedy cover when none is supplied; else ``cover`` once each class
+    is known to be a clique and their union to be V."""
+    if cover is None:
+        return greedy_clique_cover(g)
+    union = 0
+    for cls in cover:
+        union |= cls
+    if union != g.full_mask:
+        raise ValueError(f"cover classes cover {tuple(bits(union))}, not the {g.n} vertices of G")
+    for cls in cover:
+        if not g.is_clique_mask(cls):
+            raise ValueError(f"cover class {tuple(bits(cls))} is not a clique")
+    return cover
+
+
+class _Reached(Exception):
+    """Unwinds the search at the first independent set of the target size."""
+
+
+def _search(g: Graph, cover: list[int], best_mask: int, best: int, target: int,
+            budget: int) -> tuple[int, int]:
+    """Branch and bound for an independent set of more than ``best`` vertices.
+
+    Returns the largest set found (``best_mask`` when none beats ``best``) and
+    the nodes used; with ``target`` <= n it returns at the first set of
+    ``target`` vertices instead.  Each node keeps the classes of its parent's
+    live list that still meet its candidates, in the parent's order, which
+    is the list a filter of the whole cover would give.
+    """
+    closed = [row | 1 << v for v, row in enumerate(g.adj)]
     nodes = 0
 
-    def search(cands: int, chosen: int, chosen_count: int) -> None:
+    def search(parent_live: list[int], cands: int, chosen: int, count: int) -> None:
         nonlocal best, best_mask, nodes
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(nodes, budget)
-        live = [cls & cands for cls in cover if cls & cands]
-        if chosen_count + len(live) <= best:
+        if count >= target:
+            best_mask = chosen
+            raise _Reached
+        live = [part for cls in parent_live if (part := cls & cands)]
+        if count + len(live) <= best:
             return
         if not live:
-            if chosen_count > best:
-                best, best_mask = chosen_count, chosen
+            best, best_mask = count, chosen
             return
         # branch on the sparsest live class: one subtree per member, plus skip
         cls = min(live, key=int.bit_count)
         for v in bits(cls):
-            search(cands & ~g.closed_neighborhood(v), chosen | (1 << v), chosen_count + 1)
-        search(cands & ~cls, chosen, chosen_count)
+            search(live, cands & ~closed[v], chosen | 1 << v, count + 1)
+        search(live, cands & ~cls, chosen, count)
 
-    search(g.full_mask, 0, 0)
+    try:
+        search(cover, g.full_mask, 0, 0)
+    except _Reached:
+        pass
     if not g.is_independent_mask(best_mask):
         raise InternalCheckError(f"oracle witness {tuple(bits(best_mask))} is not independent")
-    return AlphaResult(best, tuple(bits(best_mask)), nodes)
+    return best_mask, nodes
 
 
 def enumerate_independent_sets(g: Graph, mask: int | None = None):

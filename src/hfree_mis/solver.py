@@ -106,9 +106,14 @@ def _recognize(h: HPattern | Graph | str) -> FamilyMatch | None:
     return _family(*_named(h))
 
 
+# a spec names one pattern for the life of the process; a spec that fails to
+# parse raises afresh on every call, since lru_cache keeps no exceptions
+_parsed = lru_cache(maxsize=256)(pattern)
+
+
 def _named(h: HPattern | Graph | str) -> tuple[str | None, Graph]:
     """H's name (None for a bare graph), and its graph."""
-    hp = pattern(h) if isinstance(h, str) else h
+    hp = _parsed(h) if isinstance(h, str) else h
     hg = hp.graph if isinstance(hp, HPattern) else hp
     return getattr(hp, "name", None), hg
 

@@ -172,14 +172,23 @@ def _criterion_4_instances():
     return instances
 
 
+def _criterion_4_k3_instances():
+    # k = 3 stops at m = 2: planted k = 3, m = 3 tilings with n_t >= 4
+    # pass 10^6 search nodes and can run out of the default budget
+    rng = random.Random(95)
+    return [gen_grid_tiling(3, 2, 1 + t % 2, t % 3 != 0, rng)[0] for t in range(12)]
+
+
 def test_criterion_4_hardness_equivalence():
     mismatches = 0
-    for gt in _criterion_4_instances():
+    k2, k3 = _criterion_4_instances(), _criterion_4_k3_instances()
+    for gt in k2 + k3:
         feasible = brute_force_feasible(gt) is not None
         out = build_construction(gt, "first", 1)
         if construction_alpha_reaches(out) != feasible:
             mismatches += 1
-    _report("4", mismatches == 0, f"50 grid tilings, equivalence mismatches {mismatches}")
+    _report("4", mismatches == 0, f"{len(k2)} k=2 and {len(k3)} k=3 grid tilings, "
+            f"equivalence mismatches {mismatches}")
 
 
 def test_criterion_5_exclusions():

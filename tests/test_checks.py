@@ -1,5 +1,6 @@
-"""Soundness checks are explicit raises, so they survive ``python -O``, and
-vertex subsets are masks of the graph at hand, not relabelled copies."""
+"""Soundness checks are explicit raises, so they survive ``python -O``,
+vertex subsets are masks of the graph at hand, not relabelled copies, and
+every budget defaults to ``oracle.DEFAULT_BUDGET``."""
 
 import ast
 import os
@@ -74,3 +75,35 @@ def test_internal_check_survives_optimize_flag():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "raised"
+
+
+def _budget_defaults(tree: ast.AST):
+    """(line, default) of every default given to a budget: a ``budget``
+    parameter, a ``budget`` field, or a ``--budget`` option."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            yield from ((d.lineno, d) for a, d in pairs if a.arg == "budget")
+        elif (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+              and node.target.id == "budget" and node.value is not None):
+            yield node.lineno, node.value
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "add_argument"
+              and any(isinstance(a, ast.Constant) and a.value == "--budget" for a in node.args)):
+            yield from ((kw.value.lineno, kw.value) for kw in node.keywords if kw.arg == "default")
+
+
+def test_one_budget_default():
+    seen, wrong = set(), []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for line, default in _budget_defaults(tree):
+            seen.add(path.stem)
+            if not (isinstance(default, ast.Name) and default.id == "DEFAULT_BUDGET"):
+                wrong.append(f"{path.name}:{line} {ast.unparse(default)}")
+    assert wrong == [], f"budget defaults other than oracle.DEFAULT_BUDGET: {wrong}"
+    # the walk still sees the sites it was written for
+    assert {"cli", "hardness", "kernelize", "oracle", "solver"} <= seen, seen

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, product
 
@@ -5,6 +6,7 @@ import pytest
 
 from hfree_mis.graph import Graph, bits, mask_of, random_graph
 from hfree_mis.hardness import (
+    VARIANTS,
     brute_force_feasible,
     build_construction,
     build_tile_gadget,
@@ -96,6 +98,32 @@ def test_feasibility_equivalence_all_variants():
         for variant in ("first", "second", "third"):
             out = build_construction(gt, variant, 1)
             assert construction_alpha_reaches(out) == feas
+
+
+# sha256 over the per-output digests of _seeded_outputs(), recorded when
+# constructions were still built from an edge list: the adjacency rows,
+# labels and clique maps built from row masks must stay identical
+PINNED_CONSTRUCTIONS = "1c5834f5b6a7e3bb58e084ec61ca0c9f770c4af0e5c53d51bb84b277b388b0bd"
+
+
+def _seeded_outputs():
+    rng = random.Random(77)
+    for k in (1, 2, 3):
+        for t in range(4):
+            gt, _ = gen_grid_tiling(k, 2 + t, 1 + 2 * t, t % 2 == 0, rng)
+            for variant in VARIANTS:
+                for p in (1, 2):
+                    yield build_construction(gt, variant, p)
+            yield build_tile_gadget(gt.tiles[0][0], 1 + t % 2, VARIANTS[t % 3])
+
+
+def test_construction_build_is_pinned():
+    total = hashlib.sha256()
+    for out in _seeded_outputs():
+        record = (tuple(out.graph.adj), out.graph.labels, out.main_cliques,
+                  sorted(out.clique_at.items()), sorted(out.cycle_cliques.items()), out.k_prime)
+        total.update(hashlib.sha256(repr(record).encode()).hexdigest().encode())
+    assert total.hexdigest() == PINNED_CONSTRUCTIONS
 
 
 def test_infeasible_construction_alpha_short():

@@ -7,6 +7,7 @@ from hfree_mis.errors import BudgetExceededError, InternalCheckError
 from hfree_mis.graph import random_graph
 from hfree_mis.oracle import (
     alpha_exact,
+    alpha_reaches,
     enumerate_independent_sets,
     greedy_clique_cover,
     greedy_independent_set,
@@ -79,3 +80,78 @@ def test_non_independent_witness_raises_internal_check(monkeypatch):
     monkeypatch.setattr(oracle, "greedy_independent_set", lambda g: g.full_mask)
     with pytest.raises(InternalCheckError):
         oracle.alpha_exact(cycle(5))
+
+
+def test_alpha_reaches_matches_enumeration():
+    rng = random.Random(9)
+    for _ in range(60):
+        g = random_graph(rng.randrange(0, 13), rng.random(), rng)
+        alpha = max(m.bit_count() for m in enumerate_independent_sets(g))
+        for cover in (None, greedy_clique_cover(g, order=rng.sample(range(g.n), g.n))):
+            for k in range(alpha + 2):
+                found = alpha_reaches(g, k, cover=cover)
+                if k <= alpha:
+                    assert found is not None and len(set(found)) == k
+                    assert g.is_independent_set(found)
+                else:
+                    assert found is None
+
+
+def test_alpha_reaches_budget_exceeded_is_loud():
+    g = random_graph(30, 0.5, random.Random(0))
+    with pytest.raises(BudgetExceededError):
+        alpha_reaches(g, alpha_exact(g).alpha + 1, budget=3)
+
+
+def test_bad_cover_raises_value_error():
+    g = cycle(5)
+    not_a_clique = [0b00011, 0b01100, 0b10100]       # {2, 4} is no edge of C5
+    misses_a_vertex = [0b00011, 0b01100]              # vertex 4 is uncovered
+    outside_v = [0b00011, 0b01100, 0b110000]          # names a sixth vertex
+    for cover in (not_a_clique, misses_a_vertex, outside_v):
+        with pytest.raises(ValueError):
+            alpha_exact(g, cover=cover)
+        with pytest.raises(ValueError):
+            alpha_reaches(g, 2, cover=cover)
+
+
+# (n, alpha, witness, nodes_used) of alpha_exact on _pinned_graphs(), recorded
+# before each node filtered its parent's live classes instead of the cover:
+# the search tree must stay the same
+PINNED_ALPHA = [
+    (29, 9, (0, 6, 8, 11, 12, 13, 22, 23, 26), 156),
+    (51, 20, (1, 2, 6, 8, 11, 14, 15, 21, 22, 25, 27, 28, 30, 31, 38, 41, 43, 45, 47, 49), 673),
+    (40, 19, (0, 1, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 15, 17, 22, 26, 31, 33, 34), 95),
+    (25, 11, (1, 3, 4, 7, 8, 12, 13, 18, 21, 22, 24), 81),
+    (26, 8, (1, 9, 10, 11, 12, 13, 18, 20), 148),
+    (41, 10, (1, 3, 8, 12, 16, 20, 21, 22, 31, 39), 267),
+    (57, 12, (0, 3, 7, 17, 33, 35, 39, 42, 47, 48, 53, 56), 1101),
+    (52, 12, (4, 5, 17, 18, 20, 36, 38, 40, 43, 44, 49, 51), 1152),
+    (40, 10, (0, 1, 2, 3, 5, 7, 12, 25, 27, 39), 488),
+    (53, 13, (6, 8, 14, 15, 17, 21, 23, 30, 32, 33, 38, 41, 45), 956),
+    (21, 7, (0, 4, 6, 8, 11, 12, 15), 13),
+    (38, 9, (0, 2, 5, 9, 10, 12, 20, 26, 28), 413),
+    (31, 8, (6, 10, 12, 14, 15, 27, 28, 29), 188),
+    (24, 5, (0, 6, 7, 13, 18), 23),
+    (27, 11, (0, 1, 2, 4, 5, 10, 13, 16, 19, 24, 25), 123),
+    (31, 14, (1, 5, 7, 8, 9, 11, 13, 14, 15, 17, 20, 23, 26, 29), 113),
+    (36, 10, (0, 8, 9, 13, 16, 18, 20, 25, 28, 30), 468),
+    (48, 12, (4, 8, 10, 18, 20, 26, 32, 34, 39, 42, 44, 45), 631),
+    (40, 7, (2, 4, 6, 7, 18, 24, 28), 200),
+    (43, 13, (0, 2, 6, 7, 9, 10, 12, 16, 18, 19, 24, 31, 42), 580),
+]
+
+
+def _pinned_graphs():
+    rng = random.Random(505)
+    for _ in range(len(PINNED_ALPHA)):
+        n = rng.randrange(20, 61)
+        yield random_graph(n, rng.choice((0.1, 0.2, 0.3, 0.5)), rng)
+
+
+def test_alpha_exact_search_tree_is_pinned():
+    got = []
+    for g in _pinned_graphs():
+        res = alpha_exact(g)
+        got.append((g.n, res.alpha, res.witness, res.nodes_used))
+    assert got == PINNED_ALPHA
