@@ -19,9 +19,8 @@ anti-matching hardness constructions, so its class is hard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
-from .graph import Graph, bits, complement
+from .graph import Graph, bits, complement, mask_of
 from .induced import find_induced
 from .patterns import (
     HPattern,
@@ -35,6 +34,8 @@ from .patterns import (
 )
 
 MODES = ("plain", "strong", "almost_strong", "nearly_strong")
+
+_C4 = cycle(4)
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,7 @@ def _interaction_class(h: Graph, pa: int, pb: int) -> str:
     union = pa | pb
     if cross_missing == 1 and union.bit_count() >= 3:
         return "clique_minus_edge"
-    sub, _ = h.induced(union)
-    if find_induced(sub, cycle(4)) is None:
+    if find_induced(h, _C4, mask=union) is None:
         return "c4_free"
     return "other"
 
@@ -135,35 +135,65 @@ def _targets(family: str, ell: int) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
-def _mode_ok(classes: dict[tuple[int, int], str], adj_pairs: set[tuple[int, int]],
-             mode: str) -> bool:
-    """Pairwise interaction classes against the target adjacency.  In every
-    mode stricter than plain, non-adjacent pairs must be empty and adjacent
-    pairs must carry real interactions."""
-    exceptional = 0
-    for pair, cls in classes.items():
-        adjacent = pair in adj_pairs
-        if mode == "plain":
-            if cls != "empty" and not adjacent:
-                return False
-            continue
-        if not adjacent:
+# Per mode, the cost of a pair of parts by interaction class, indexed by
+# whether the target joins the two parts: 0 fits, 1 is the one exception a
+# nearly strong decomposition allows, None never fits.  In every mode
+# stricter than plain, non-adjacent pairs must be empty and adjacent pairs
+# must carry real interactions.
+_STRICT_APART = {"empty": 0}
+_PAIR_COST = {
+    "plain": ({"empty": 0}, {"empty": 0, "clique": 0, "clique_minus_edge": 0,
+                             "c4_free": 0, "other": 0}),
+    "strong": (_STRICT_APART, {"clique": 0}),
+    "almost_strong": (_STRICT_APART, {"clique": 0, "clique_minus_edge": 0}),
+    "nearly_strong": (_STRICT_APART, {"clique": 0, "clique_minus_edge": 0, "c4_free": 1}),
+}
+
+
+def _assign(classes: list[list[str]], target: list[int], mode: str) -> list[int] | None:
+    """Target vertex of each part such that every pair of parts fits the
+    mode, or None.  Parts are placed in order, each trying the free target
+    vertices in increasing order, and a pair is tested once both ends are
+    placed, so the answer is the first fitting permutation in
+    lexicographic order."""
+    ell = len(target)
+    apart, joined = _PAIR_COST[mode]
+    # a part interacting with d others needs a target vertex of degree at
+    # least d, and of exactly d in the modes where apart means empty
+    linked = [0] * ell
+    for i in range(ell):
+        for j, cls in enumerate(classes[i]):
             if cls != "empty":
-                return False
-            continue
-        if cls == "empty":
-            return False
-        if cls == "clique":
-            continue
-        if cls == "clique_minus_edge" and mode in ("almost_strong", "nearly_strong"):
-            continue
-        if mode == "nearly_strong" and cls == "c4_free":
-            exceptional += 1
-            if exceptional > 1:
-                return False
-            continue
+                linked[i] += 1
+                linked[j] += 1
+    tdeg = [t.bit_count() for t in target]
+    if mode == "plain":
+        allowed = [mask_of(t for t in range(ell) if tdeg[t] >= d) for d in linked]
+    else:
+        allowed = [mask_of(t for t in range(ell) if tdeg[t] == d) for d in linked]
+    if not all(allowed):
+        return None
+    image = [0] * ell
+
+    def place(i: int, free: int, spent: int) -> bool:
+        if i == ell:
+            return True
+        row = classes[i]
+        for t in bits(free & allowed[i]):
+            cost = spent
+            for j in range(i):
+                c = (joined if target[t] >> image[j] & 1 else apart).get(row[j])
+                if c is None:
+                    break
+                cost += c
+            else:
+                if cost <= 1:
+                    image[i] = t
+                    if place(i + 1, free & ~(1 << t), cost):
+                        return True
         return False
-    return True
+
+    return image if place(0, (1 << ell) - 1, 0) else None
 
 
 def find_clique_decomposition(h: HPattern | Graph, targets, mode: str) -> CliqueDecomposition | None:
@@ -172,6 +202,13 @@ def find_clique_decomposition(h: HPattern | Graph, targets, mode: str) -> Clique
     ``targets`` is "paths", "claw_subdivisions", "t1", or an explicit Graph;
     ``mode`` is one of plain, strong, almost_strong, nearly_strong.  Exact:
     None means no partition and assignment works.
+
+    Partitions of V(H) into cliques come in a fixed order, and for each
+    candidate target a backtracking search assigns the parts to target
+    vertices whose degree fits the part's interactions, testing each pair
+    of parts as soon as both are placed.  Every pruned branch holds no
+    fitting assignment, so the first one found is the first fitting
+    permutation of the target vertices in lexicographic order.
     """
     hg = h.graph if isinstance(h, HPattern) else h
     if hg.n > PATTERN_CAP:
@@ -180,25 +217,25 @@ def find_clique_decomposition(h: HPattern | Graph, targets, mode: str) -> Clique
         raise ValueError(f"mode must be one of {MODES}")
     for parts in _partitions_into_cliques(hg):
         ell = len(parts)
-        classes = {}
-        for i in range(ell):
-            for j in range(i + 1, ell):
-                classes[(i, j)] = _interaction_class(hg, parts[i], parts[j])
         if isinstance(targets, Graph):
             cand = [tuple(targets.edges())] if targets.n == ell else []
         else:
             cand = _targets(targets, ell)
+        if not cand:
+            continue
+        # classes[i][j], j < i: interaction of parts j and i
+        classes = [[_interaction_class(hg, parts[j], parts[i]) for j in range(i)]
+                   for i in range(ell)]
         for edges in cand:
-            eset = {(min(u, v), max(u, v)) for u, v in edges}
-            for perm in permutations(range(ell)):
-                adj_pairs = {
-                    (i, j)
-                    for i in range(ell) for j in range(i + 1, ell)
-                    if (min(perm[i], perm[j]), max(perm[i], perm[j])) in eset
-                }
-                if _mode_ok(classes, adj_pairs, mode):
-                    tgt = tuple(sorted(adj_pairs))
-                    return CliqueDecomposition(tuple(parts), tgt, mode)
+            target = [0] * ell
+            for u, v in edges:
+                target[u] |= 1 << v
+                target[v] |= 1 << u
+            image = _assign(classes, target, mode)
+            if image is not None:
+                tgt = tuple((i, j) for i in range(ell) for j in range(i + 1, ell)
+                            if target[image[i]] >> image[j] & 1)
+                return CliqueDecomposition(tuple(parts), tgt, mode)
     return None
 
 
@@ -249,12 +286,12 @@ def np_hard_connected(h: HPattern | Graph) -> bool:
 def _contains_two_branching_tree(h: Graph) -> bool:
     """Does H contain an induced tree with two vertices of degree >= 3?"""
     for sub_mask in range(1, 1 << h.n):
-        if sub_mask.bit_count() < 6:
+        size = sub_mask.bit_count()
+        if size < 6:
             continue
-        sub, _ = h.induced(sub_mask)
-        if not sub.is_connected() or sub.edge_count() != sub.n - 1:
-            continue
-        if sum(1 for v in range(sub.n) if sub.degree(v) >= 3) >= 2:
+        degrees = [(h.adj[v] & sub_mask).bit_count() for v in bits(sub_mask)]
+        if (sum(degrees) == 2 * (size - 1) and sum(d >= 3 for d in degrees) >= 2
+                and len(h.connected_components(sub_mask)) == 1):
             return True
     return False
 

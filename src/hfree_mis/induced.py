@@ -2,28 +2,37 @@
 
 Backtracking over an ordering of the pattern vertices chosen so that each
 new vertex is constrained by as many already-placed ones as possible; the
-candidate set at every level is a single bitmask intersection, so negative
-searches prune hard on dense hosts.
+candidate set at every level is a single bitmask intersection.  The order
+counts the constraints that prune in the host at hand: the pattern's edges
+when G[mask] has edge density at most 1/2, its non-edges (the edges of the
+complement) when it is denser.  Twins of the pattern are interchangeable,
+so a vertex with a twin placed earlier takes only host vertices above that
+twin's image; the search then never revisits a twin-permuted copy of a
+partial embedding, which is what makes exhaustive misses on dense hosts
+cheap.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, bits
+from .graph import Graph, bits, complement
 from .patterns import HPattern, PATTERN_CAP
 
 
-def _search_order(h: Graph) -> list[int]:
+def _search_order(rows: list[int]) -> list[int]:
+    """Greedy order over a graph given by its adjacency rows: next comes
+    the vertex with the most placed neighbours, ties to the higher degree,
+    then to the lower index."""
+    n = len(rows)
+    degs = [row.bit_count() for row in rows]
     order = []
     placed = 0
-    degs = [h.degree(v) for v in range(h.n)]
-    for _ in range(h.n):
-        best, best_key = -1, (-1, -1)
-        for v in range(h.n):
-            if placed >> v & 1:
-                continue
-            key = ((h.adj[v] & placed).bit_count(), degs[v])
-            if key > best_key:
-                best, best_key = v, key
+    for _ in range(n):
+        best, best_key = -1, -1
+        for v in range(n):
+            if not placed >> v & 1:
+                key = (rows[v] & placed).bit_count() * n + degs[v]
+                if key > best_key:
+                    best, best_key = v, key
         order.append(best)
         placed |= 1 << best
     return order
@@ -34,50 +43,75 @@ def find_induced(g: Graph, h: HPattern | Graph, cap: int = PATTERN_CAP,
     """First embedding of ``h`` as an induced subgraph of ``g[mask]``
     (default: all of ``g``), or None.
 
-    The embedding maps pattern vertices to host vertices.  Exhaustive: a
-    None answer means no vertex subset of g[mask] induces h.
+    The embedding maps each pattern vertex to its host vertex, keyed in
+    pattern-vertex order 0..h.n-1.  Exhaustive: a None answer means no
+    vertex subset of g[mask] induces h.
     """
     hg = h.graph if isinstance(h, HPattern) else h
     if hg.n > cap:
         raise ValueError(f"pattern has {hg.n} vertices, cap is {cap}")
-    if hg.n > g.n:
+    if mask is None:
+        full = g.full_mask
+        degree_sum = sum(map(int.bit_count, g.adj))
+    else:
+        full = mask
+        degree_sum = sum((g.adj[v] & full).bit_count() for v in bits(full))
+    size = full.bit_count()
+    if hg.n > size:
         return None
     if hg.n == 0:
         return {}
 
-    order = _search_order(hg)
-    # per level: (pattern vertex, [(placed level, must_be_adjacent)])
+    dense = degree_sum > size * (size - 1) // 2   # G[mask] denser than 1/2
+    order = _search_order(complement(hg).adj if dense else hg.adj)
+    rows = hg.adj
+    # per level: [(placed level, must_be_adjacent)], and the level of the
+    # last twin placed before it (-1 when none); u and v are twins when
+    # their neighbourhoods agree outside {u, v}
     constraints = []
+    twin_level = []
     for i, pv in enumerate(order):
         cons = []
+        twin = -1
         for j in range(i):
-            cons.append((j, hg.has_edge(pv, order[j])))
+            qv = order[j]
+            cons.append((j, rows[pv] >> qv & 1))
+            if rows[pv] & ~(1 << qv) == rows[qv] & ~(1 << pv):
+                twin = j
         constraints.append(cons)
+        twin_level.append(twin)
 
-    full = g.full_mask if mask is None else mask
     image = [0] * hg.n
     used = 0
 
-    def place(level: int) -> dict[int, int] | None:
+    def place(level: int) -> bool:
         nonlocal used
         if level == hg.n:
-            return {order[i]: image[i] for i in range(hg.n)}
+            return True
         cand = full & ~used
+        t = twin_level[level]
+        if t >= 0:
+            cand &= -(2 << image[t])
         for j, adjacent in constraints[level]:
             w = image[j]
             cand &= g.adj[w] if adjacent else ~g.adj[w]
             if not cand:
-                return None
+                return False
         for v in bits(cand):
             image[level] = v
             used |= 1 << v
             hit = place(level + 1)
             used &= ~(1 << v)
-            if hit is not None:
-                return hit
-        return None
+            if hit:
+                return True
+        return False
 
-    return place(0)
+    if not place(0):
+        return None
+    emb = [0] * hg.n
+    for i, pv in enumerate(order):
+        emb[pv] = image[i]
+    return dict(enumerate(emb))
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -168,6 +168,11 @@ def _component_passes(g: Graph, alive: int, k: int, r: int, trace: list[str]):
                 trace.append(f"multipartite component collapsed to its largest part ({largest.bit_count()})")
                 return alive & ~drop, None
     for comp in comps:
+        # a greedy clique is no larger than the clique number, and the
+        # bound grows with the clique size, so below its bound none fires
+        greedy = _maximalize_clique(g, 0, comp).bit_count()
+        if comp.bit_count() < ramsey_bound(greedy + 1, k):
+            continue
         omega = g.max_clique(comp).bit_count()
         if comp.bit_count() >= ramsey_bound(omega + 1, k):
             out = ramsey_extract(g, omega + 1, k, comp)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations
 
@@ -206,6 +207,39 @@ def test_decomposition_agrees_with_oracle():
                 fast = find_clique_decomposition(g, family, mode) is not None
                 slow = _oracle_has_decomposition(g, family, mode)
                 assert fast == slow, (g.edges(), family, mode)
+
+
+# sha256 over the records of _pinned_cases(), recorded before the
+# assignment search replaced the loop over all permutations of the parts
+PINNED_CLASSIFICATION = "7a527dec2a97884d294209264f300cd9bda96ca17976626a78d59cb41cd50543"
+PINNED_NAMES = ("K1", "K2", "2K1", "P3", "K3", "K2+K1", "3K1", "4K1", "K2+2K1", "P3+K1", "2K2",
+                "claw", "P4", "K4", "diamond", "paw", "K3+K1", "C4", "gem", "bull", "cricket",
+                "C5", "P5", "K1,4", "T1,2,2", "C6", "P6", "2K3", "K5-K2", "K5-K3", "K6-K3",
+                "K5-K2,2", "K5-K1,3", "K6-K2,2", "P3+P3", "P7", "C7")
+
+
+def _pinned_cases():
+    for name in PINNED_NAMES:
+        yield pattern(name).graph
+    rng = random.Random(606)
+    for _ in range(300):
+        yield random_graph(rng.randrange(1, 7), rng.random(), rng)
+
+
+def test_classification_is_pinned():
+    """Verdicts and the decompositions found, parts and target edges, are
+    the same as those of the exhaustive loop over permutations."""
+    total = hashlib.sha256()
+    for g in _pinned_cases():
+        v = verdict(g)
+        decs = []
+        for family in ("paths", "claw_subdivisions", "t1"):
+            for mode in ("plain", "strong", "almost_strong", "nearly_strong"):
+                d = find_clique_decomposition(g, family, mode)
+                decs.append(None if d is None else (d.parts, d.target_edges, d.mode))
+        record = (tuple(g.adj), v.complexity, v.kernel, v.rules_fired, tuple(decs))
+        total.update(hashlib.sha256(repr(record).encode()).hexdigest().encode())
+    assert total.hexdigest() == PINNED_CLASSIFICATION
 
 
 def test_join_factors_examples():
