@@ -1,15 +1,24 @@
 """Exhaustive induced-subgraph detection for small patterns.
 
-Backtracking over an ordering of the pattern vertices chosen so that each
-new vertex is constrained by as many already-placed ones as possible; the
-candidate set at every level is a single bitmask intersection.  The order
-counts the constraints that prune in the host at hand: the pattern's edges
-when G[mask] has edge density at most 1/2, its non-edges (the edges of the
-complement) when it is denser.  Twins of the pattern are interchangeable,
-so a vertex with a twin placed earlier takes only host vertices above that
-twin's image; the search then never revisits a twin-permuted copy of a
-partial embedding, which is what makes exhaustive misses on dense hosts
-cheap.
+A connected pattern H can only sit inside one connected component of
+G[mask], so for connected H the host is split into its components once,
+components with fewer than |H| vertices are skipped, and each remaining
+component is searched on its own; a disconnected H is searched over the
+whole mask.
+
+Each search backtracks over an ordering of the pattern vertices chosen so
+that each new vertex is constrained by as many already-placed ones as
+possible; the candidate set at every level is a single bitmask
+intersection.  The order counts the constraints that prune in the host
+part at hand: the pattern's edges when that part has edge density at most
+1/2, its non-edges (the edges of the complement) when it is denser.  The
+density is a component's own, so a host that is sparse as a whole but
+dense inside each component is searched in the non-edge order; the order
+and the constraints built from it are made once per density choice, not
+once per component.  Twins of the pattern are interchangeable, so a vertex
+with a twin placed earlier takes only host vertices above that twin's
+image; the search then never revisits a twin-permuted copy of a partial
+embedding, which is what makes exhaustive misses on dense hosts cheap.
 """
 
 from __future__ import annotations
@@ -38,36 +47,13 @@ def _search_order(rows: list[int]) -> list[int]:
     return order
 
 
-def find_induced(g: Graph, h: HPattern | Graph, cap: int = PATTERN_CAP,
-                 mask: int | None = None) -> dict[int, int] | None:
-    """First embedding of ``h`` as an induced subgraph of ``g[mask]``
-    (default: all of ``g``), or None.
-
-    The embedding maps each pattern vertex to its host vertex, keyed in
-    pattern-vertex order 0..h.n-1.  Exhaustive: a None answer means no
-    vertex subset of g[mask] induces h.
-    """
-    hg = h.graph if isinstance(h, HPattern) else h
-    if hg.n > cap:
-        raise ValueError(f"pattern has {hg.n} vertices, cap is {cap}")
-    if mask is None:
-        full = g.full_mask
-        degree_sum = sum(map(int.bit_count, g.adj))
-    else:
-        full = mask
-        degree_sum = sum((g.adj[v] & full).bit_count() for v in bits(full))
-    size = full.bit_count()
-    if hg.n > size:
-        return None
-    if hg.n == 0:
-        return {}
-
-    dense = degree_sum > size * (size - 1) // 2   # G[mask] denser than 1/2
+def _plan(hg: Graph, dense: bool) -> tuple[list[int], list[list[tuple[int, int]]], list[int]]:
+    """The search order for a host part denser than 1/2 (``dense``) or not,
+    and per level: [(placed level, must_be_adjacent)], and the level of the
+    last twin placed before it (-1 when none); u and v are twins when
+    their neighbourhoods agree outside {u, v}."""
     order = _search_order(complement(hg).adj if dense else hg.adj)
     rows = hg.adj
-    # per level: [(placed level, must_be_adjacent)], and the level of the
-    # last twin placed before it (-1 when none); u and v are twins when
-    # their neighbourhoods agree outside {u, v}
     constraints = []
     twin_level = []
     for i, pv in enumerate(order):
@@ -80,13 +66,20 @@ def find_induced(g: Graph, h: HPattern | Graph, cap: int = PATTERN_CAP,
                 twin = j
         constraints.append(cons)
         twin_level.append(twin)
+    return order, constraints, twin_level
 
-    image = [0] * hg.n
+
+def _embed(adj: list[int], full: int, constraints: list[list[tuple[int, int]]],
+           twin_level: list[int]) -> list[int] | None:
+    """Host images of the planned levels inside the vertex mask ``full``,
+    or None when there is no such embedding."""
+    n = len(constraints)
+    image = [0] * n
     used = 0
 
     def place(level: int) -> bool:
         nonlocal used
-        if level == hg.n:
+        if level == n:
             return True
         cand = full & ~used
         t = twin_level[level]
@@ -94,7 +87,7 @@ def find_induced(g: Graph, h: HPattern | Graph, cap: int = PATTERN_CAP,
             cand &= -(2 << image[t])
         for j, adjacent in constraints[level]:
             w = image[j]
-            cand &= g.adj[w] if adjacent else ~g.adj[w]
+            cand &= adj[w] if adjacent else ~adj[w]
             if not cand:
                 return False
         for v in bits(cand):
@@ -106,12 +99,60 @@ def find_induced(g: Graph, h: HPattern | Graph, cap: int = PATTERN_CAP,
                 return True
         return False
 
-    if not place(0):
+    return image if place(0) else None
+
+
+def find_induced(g: Graph, h: HPattern | Graph, cap: int = PATTERN_CAP,
+                 mask: int | None = None) -> dict[int, int] | None:
+    """First embedding of ``h`` as an induced subgraph of ``g[mask]``
+    (default: all of ``g``), or None.
+
+    The embedding maps each pattern vertex to its host vertex, keyed in
+    pattern-vertex order 0..h.n-1.  Exhaustive: a None answer means no
+    vertex subset of g[mask] induces h.  A connected ``h`` is looked for
+    one component of g[mask] at a time, in order of their smallest vertex,
+    skipping those with fewer than h.n vertices, each in the edge or
+    non-edge order its own density calls for; a disconnected ``h`` is
+    looked for in g[mask] as a whole.  A mask holding vertices outside
+    V(G) is a ValueError.
+    """
+    hg = h.graph if isinstance(h, HPattern) else h
+    if hg.n > cap:
+        raise ValueError(f"pattern has {hg.n} vertices, cap is {cap}")
+    if mask is None:
+        mask = g.full_mask
+    elif mask < 0:
+        raise ValueError(f"mask {mask} is negative")
+    elif mask >> g.n:
+        raise ValueError(f"mask holds vertices {tuple(bits(mask >> g.n << g.n))} "
+                         f"outside the {g.n} vertices of G")
+    if hg.n > mask.bit_count():
         return None
-    emb = [0] * hg.n
-    for i, pv in enumerate(order):
-        emb[pv] = image[i]
-    return dict(enumerate(emb))
+    if hg.n == 0:
+        return {}
+
+    adj = g.adj
+    if hg.is_connected():
+        parts = [c for c in g.connected_components(mask) if c.bit_count() >= hg.n]
+    else:
+        parts = [mask]
+    plans: dict[bool, tuple] = {}
+    for part in parts:
+        size = part.bit_count()
+        rows = adj if part == g.full_mask else [adj[v] & part for v in bits(part)]
+        degree_sum = sum(map(int.bit_count, rows))
+        dense = degree_sum > size * (size - 1) // 2   # G[part] denser than 1/2
+        plan = plans.get(dense)
+        if plan is None:
+            plan = plans[dense] = _plan(hg, dense)
+        order, constraints, twin_level = plan
+        image = _embed(adj, part, constraints, twin_level)
+        if image is not None:
+            emb = [0] * hg.n
+            for i, pv in enumerate(order):
+                emb[pv] = image[i]
+            return dict(enumerate(emb))
+    return None
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -233,7 +233,7 @@ def _solve_p3_free(g: Graph, k: int, seed: int) -> SolveOutcome:
             if p3 is None:
                 raise InternalCheckError("a component is not a clique, yet no induced P3 was found")
             raise PatternViolationError("P3", tuple(p3.values()))
-    witness = tuple(sorted(next(bits(c)) for c in comps[:k]))
+    witness = tuple(sorted(next(bits(c)) for c in comps[:max(k, 0)]))
     return SolveOutcome(len(comps) >= k, witness if len(comps) >= k else (), k,
                         "component count (P3-free)", seed)
 

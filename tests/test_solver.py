@@ -125,6 +125,20 @@ def test_witnesses_returned_on_yes():
             assert out.decision and len(out.witness) >= 2
 
 
+@pytest.mark.parametrize("h, paper_route", [
+    ("P3", "component count"), ("K3", "cluster"), ("K5-K2", "kernel"),
+    ("K5-K1,3", "turing kernel"), ("gem", "gem")])
+def test_nonpositive_k_is_yes_with_empty_witness(h, paper_route):
+    """k <= 0 is a yes with the empty witness on every route, also on the
+    P3 route, which counts components and must not slice them by k."""
+    g = Graph(6, [(0, 1), (2, 3), (4, 5)])   # 3K2
+    for k in (0, -1, -3):
+        for solve in (solve_hfree, solve_paper):
+            out = solve(g, k, h)
+            assert (out.decision, out.witness) == (True, ()), (solve.__name__, h, k, out)
+        assert solve_paper(g, k, h).method.startswith(paper_route)
+
+
 def test_methods_name_the_deciding_step():
     g = pattern("C5").graph  # gem-free; greedy finds 2, alpha is 2
     assert solve_hfree(g, 2, "gem").method == "greedy"
