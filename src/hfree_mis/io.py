@@ -3,7 +3,9 @@
 Header line ``p <n> <m>``, then m lines ``e <u> <v>`` with 1-based vertex
 ids; lines starting with ``c`` are comments.  Parsing collapses duplicate
 edges and rejects self-loops and out-of-range ids with the offending line
-number; emitting writes edges sorted, so parse(emit(g)) round-trips.
+number, and a file whose number of ``e`` lines (duplicates included) is
+not m, so a truncated file is not read as a smaller graph; emitting writes
+edges sorted, so parse(emit(g)) round-trips.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from .graph import Graph
 def parse_graph(text: str) -> Graph:
     n = None
     m_declared = 0
+    header_line = 1
+    edge_lines = 0
     edges = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -28,6 +32,7 @@ def parse_graph(text: str) -> Graph:
                 raise InputFormatError(line_no, "header must be 'p <n> <m>'")
             try:
                 n, m_declared = int(fields[1]), int(fields[2])
+                header_line = line_no
             except ValueError:
                 raise InputFormatError(line_no, "header counts must be integers") from None
             if n < 0 or m_declared < 0:
@@ -46,10 +51,14 @@ def parse_graph(text: str) -> Graph:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise InputFormatError(line_no, f"vertex id out of range 1..{n}")
             edges.add((min(u, v) - 1, max(u, v) - 1))
+            edge_lines += 1
         else:
             raise InputFormatError(line_no, f"unknown line type {fields[0]!r}")
     if n is None:
         raise InputFormatError(1, "missing header")
+    if edge_lines != m_declared:
+        raise InputFormatError(header_line, f"header declares {m_declared} edge lines, "
+                                            f"file has {edge_lines}")
     return Graph(n, sorted(edges))
 
 

@@ -43,6 +43,20 @@ def test_missing_header():
         parse_graph("e 1 2\n")
 
 
+def test_too_few_edge_lines_rejected():
+    """A truncated file is not read as the smaller graph it happens to hold."""
+    with pytest.raises(InputFormatError, match="declares 2 edge lines, file has 1") as err:
+        parse_graph("c cut short\np 3 2\ne 1 2\n")
+    assert err.value.line_no == 2
+
+
+def test_too_many_edge_lines_rejected():
+    with pytest.raises(InputFormatError, match="declares 1 edge lines, file has 3"):
+        parse_graph("p 3 1\ne 1 2\ne 2 3\ne 2 1\n")
+    with pytest.raises(InputFormatError, match="declares 0 edge lines, file has 1"):
+        parse_graph("p 2 0\ne 1 2\n")
+
+
 def test_bad_line_type():
     with pytest.raises(InputFormatError) as err:
         parse_graph("p 2 1\nx 1 2\n")
@@ -143,6 +157,14 @@ def test_cli_input_error_exit_code(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("p 2 1\ne 1 1\n")
     assert main(["oracle", "--input", str(path)]) == 1
+
+
+def test_cli_truncated_input_exit_code(tmp_path, capsys):
+    text = emit_graph(pattern("C5").graph)
+    path = tmp_path / "cut.txt"
+    path.write_text(text[: text.rindex("e ")])
+    assert main(["oracle", "--input", str(path)]) == 1
+    assert "declares 5 edge lines, file has 4" in capsys.readouterr().err
 
 
 def test_cli_seed_from_environment(tmp_path, capsys, monkeypatch):
