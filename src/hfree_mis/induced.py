@@ -38,7 +38,8 @@ pairwise adjacent; no vertex fits a C5 vertex.  These exhaustive misses
 therefore end within two levels of the root.
 
 The plan of a pattern (order, constraints, twin levels, signatures) is
-cached per density choice by H's adjacency rows from the second call on
+built at most once per density choice in a call, however many components
+are searched.  It is cached by H's adjacency rows from the second call on
 that pattern, so callers that ask about the same few patterns thousands of
 times do not rebuild it, and a pattern asked about once leaves nothing
 behind for the garbage collector.
@@ -72,20 +73,20 @@ def _search_order(rows: list[int]) -> list[int]:
 
 def _plan(hg: Graph, dense: bool) -> tuple:
     """The search plan for a host part denser than 1/2 (``dense``) or not:
-    the order of H's vertices, and per level of that order the pairs
-    (placed level, must_be_adjacent), the level of the last twin placed
-    before it (-1 when none), the signature of its vertex and the levels
-    whose vertices share that signature.  u and v are twins when their
-    neighbourhoods agree outside {u, v}; the signature of x is (deg(x),
-    |H| - 1 - deg(x), whether H[N(x)] has a non-edge, whether H - N[x] has
-    an edge)."""
+    the order of H's vertices; per level of that order the pairs (placed
+    level, must_be_adjacent), the level of the last twin placed before it
+    (-1 when none) and the index of its vertex's signature; and the
+    distinct signatures, in order of first level.  u and v are twins when
+    their neighbourhoods agree outside {u, v}; the signature of x is
+    (deg(x), |H| - 1 - deg(x), whether H[N(x)] has a non-edge, whether
+    H - N[x] has an edge)."""
     order = _search_order(complement(hg).adj if dense else hg.adj)
     rows = hg.adj
     twice_m = sum(map(int.bit_count, rows))
     constraints = []
     twin_level = []
-    sigs = []
-    levels_of: dict[tuple[int, int, bool, bool], list[int]] = {}
+    level_sig = []
+    sig_index: dict[tuple[int, int, bool, bool], int] = {}
     for i, pv in enumerate(order):
         cons = []
         twin = -1
@@ -105,10 +106,8 @@ def _plan(hg: Graph, dense: bool) -> tuple:
             inner += (rows[u] & nb).bit_count()
             touching += rows[u].bit_count()
         sig = (deg, hg.n - 1 - deg, inner < deg * (deg - 1), twice_m - 2 * touching + inner > 0)
-        sigs.append(sig)
-        levels_of.setdefault(sig, []).append(i)
-    peers = tuple(tuple(levels_of[sig]) for sig in sigs)
-    return tuple(order), tuple(constraints), tuple(twin_level), tuple(sigs), peers
+        level_sig.append(sig_index.setdefault(sig, len(sig_index)))
+    return tuple(order), tuple(constraints), tuple(twin_level), tuple(level_sig), tuple(sig_index)
 
 
 # H's adjacency rows -> whether H is connected, for every pattern asked
@@ -171,10 +170,10 @@ def _embed(adj: list[int], part: int, plan: tuple) -> list[int] | None:
     only if it fits the signature of the level's vertex inside G[part];
     each (signature, w) pair is tested at most once, when w first turns up
     as a candidate of a level with that signature."""
-    _order, constraints, twin_level, sigs, peers = plan
+    _order, constraints, twin_level, level_sig, sigs = plan
     n = len(constraints)
-    allowed = [part] * n    # per level: vertices of the part not found unfit
-    untested = [part] * n   # per level: vertices not yet tested
+    allowed = [part] * len(sigs)    # per signature: vertices of the part not found unfit
+    untested = [part] * len(sigs)   # per signature: vertices not yet tested
     image = [0] * n
     used = 0
 
@@ -182,7 +181,8 @@ def _embed(adj: list[int], part: int, plan: tuple) -> list[int] | None:
         nonlocal used
         if level == n:
             return True
-        cand = allowed[level] & ~used
+        s = level_sig[level]
+        cand = allowed[s] & ~used
         t = twin_level[level]
         if t >= 0:
             cand &= -(2 << image[t])
@@ -191,12 +191,11 @@ def _embed(adj: list[int], part: int, plan: tuple) -> list[int] | None:
             cand &= adj[w] if adjacent else ~adj[w]
             if not cand:
                 return False
-        new = cand & untested[level]
+        new = cand & untested[s]
         if new:
-            unfit = new & ~_fitting(adj, part, sigs[level], new)
-            for peer in peers[level]:
-                allowed[peer] &= ~unfit
-                untested[peer] &= ~new
+            unfit = new & ~_fitting(adj, part, sigs[s], new)
+            allowed[s] &= ~unfit
+            untested[s] &= ~new
             cand &= ~unfit
         while cand:
             low = cand & -cand
@@ -250,6 +249,9 @@ def find_induced(g: Graph, h: HPattern | Graph, cap: int = PATTERN_CAP,
             for plans in _PLANS:
                 plans.clear()
         connected = _CONNECTED[key] = hg.is_connected()
+    # a pattern seen for the first time is planned at most once per
+    # density choice in this call, and its plans are not kept
+    plans = _PLANS if seen else ({}, {})
     adj = g.adj
     if connected:
         parts = [c for c in g.connected_components(mask) if c.bit_count() >= hg.n]
@@ -260,11 +262,9 @@ def find_induced(g: Graph, h: HPattern | Graph, cap: int = PATTERN_CAP,
         rows = adj if part == g.full_mask else [adj[v] & part for v in bits(part)]
         degree_sum = sum(map(int.bit_count, rows))
         dense = degree_sum > size * (size - 1) // 2   # G[part] denser than 1/2
-        plan = _PLANS[dense].get(key)
+        plan = plans[dense].get(key)
         if plan is None:
-            plan = _plan(hg, dense)
-            if seen:
-                _PLANS[dense][key] = plan
+            plan = plans[dense][key] = _plan(hg, dense)
         image = _embed(adj, part, plan)
         if image is not None:
             emb = [0] * hg.n
