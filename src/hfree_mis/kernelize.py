@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InternalCheckError, PatternViolationError
+from .errors import BudgetExceededError, InternalCheckError, PatternViolationError
 from .graph import Graph, bits, mask_of
 from .oracle import DEFAULT_BUDGET, alpha_exact, greedy_independent_set
 from .ramsey import eh_extract, ramsey_bound, ramsey_extract
@@ -338,9 +338,28 @@ def _reduced_sub(g: Graph, mask: int, k_sub: int, r: int) -> tuple[Graph, int]:
     return sub, k_sub
 
 
+class _SharedBudget:
+    """One node budget charged by a sequence of oracle calls: each call gets
+    what the calls before it left."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.used = 0
+
+    def alpha(self, g: Graph) -> int:
+        try:
+            res = alpha_exact(g, self.budget - self.used)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(self.used + exc.nodes_used, self.budget) from None
+        self.used += res.nodes_used
+        return res.alpha
+
+
 def solve_via_turing(g: Graph, k: int, r: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Decision driver: per connected component, the largest target its
-    subinstances support; yes iff the component maxima sum to k."""
+    subinstances support; yes iff the component maxima sum to k.  Every
+    oracle call draws on the one ``budget``."""
+    shared = _SharedBudget(budget)
     total = 0
     for comp in g.connected_components():
         sub, kept = g.induced(comp)
@@ -350,7 +369,7 @@ def solve_via_turing(g: Graph, k: int, r: int, budget: int = DEFAULT_BUDGET) -> 
                 out = turing_kernel_star(sub, i, r)
             except PatternViolationError as exc:
                 raise exc.lifted(kept) from None
-            hit = any(alpha_exact(j_g, budget).alpha >= j_k for j_g, j_k in out.subinstances)
+            hit = any(shared.alpha(j_g) >= j_k for j_g, j_k in out.subinstances)
             if hit:
                 best = i
             else:
@@ -364,13 +383,15 @@ def solve_via_turing(g: Graph, k: int, r: int, budget: int = DEFAULT_BUDGET) -> 
 def solve_via_isolated_clique(g: Graph, k: int, r: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Decision for graphs excluding K_{r-1} plus an isolated vertex: guess a
     solution vertex, recurse into its non-neighborhood, which is
-    K_{r-1}-free and shrinks by the Ramsey kernel."""
+    K_{r-1}-free and shrinks by the Ramsey kernel.  Every oracle call
+    draws on the one ``budget``."""
     if k <= 0:
         return True
     if g.n == 0:
         return False
     if k == 1:
         return True
+    shared = _SharedBudget(budget)
     for v in range(g.n):
         mask = g.full_mask & ~g.closed_neighborhood(v)
         sub, sub_map = g.induced(mask)
@@ -379,6 +400,6 @@ def solve_via_isolated_clique(g: Graph, k: int, r: int, budget: int = DEFAULT_BU
             return True
         if res.verdict != "reduced":
             raise InternalCheckError(f"Ramsey kernel returned {res.verdict}")
-        if alpha_exact(res.graph, budget).alpha >= k - 1:
+        if shared.alpha(res.graph) >= k - 1:
             return True
     return False

@@ -2,19 +2,33 @@
 
 Branch and bound over candidate bitmasks.  The upper bound is a clique
 cover: alpha never exceeds the number of cover classes meeting the
-candidate set.  Branching picks the cover class with fewest remaining
-candidates and tries each of its vertices, plus the branch discarding the
-whole class.  A node budget makes the oracle fail loudly instead of
-hanging; it never returns a wrong answer.
+candidate set (the node's live parts).  Branching picks the live part with
+fewest candidates and tries each of its vertices; the branch discarding
+the whole part follows only when, at the parent, the parts left could
+still beat the best set.  A node budget makes the oracle fail loudly
+instead of hanging; it never returns a wrong answer.
 
-One search serves two entries: ``alpha_exact`` starts from a greedy
-independent set and returns alpha with a witness; ``alpha_reaches`` starts
-from the bound k - 1 and stops at the first independent set of k vertices.
+A node is tight when its live parts are exactly enough to beat the best
+set, so a better set must take one vertex from every live part (the
+zero-slack case of the unit propagation on colour classes in Li & Quan,
+AAAI 2010).  At a tight node every candidate adjacent to a whole other
+part is deleted, since choosing it would empty that part; the node ends
+as soon as a part is empty, and deletion repeats until nothing changes.
+The rule is sound for any clique cover, overlapping classes included.
+Each tight node keeps the common neighbourhood of every live part, and a
+child of a tight node recomputes only the parts that shrank.
+
+One search serves two entries: ``alpha_exact`` starts from a floor (a
+greedy independent set, or one the caller holds) and returns alpha with a
+witness; ``alpha_reaches`` starts from the bound k - 1 and stops at the
+first independent set of k vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import and_, ne
 
 from .errors import BudgetExceededError, InternalCheckError
 from .graph import Graph, bits
@@ -60,17 +74,24 @@ def greedy_independent_set(g: Graph, mask: int | None = None) -> int:
     return out
 
 
-def alpha_exact(g: Graph, budget: int = DEFAULT_BUDGET, cover: list[int] | None = None) -> AlphaResult:
+def alpha_exact(g: Graph, budget: int = DEFAULT_BUDGET, cover: list[int] | None = None,
+                floor: int | None = None) -> AlphaResult:
     """Exact alpha(G) with a witness, or BudgetExceededError.
 
     ``cover`` may supply a known clique cover (e.g. the main cliques of a
     hardness construction) to sharpen pruning; every class must be a
-    clique and the classes must cover V, else ValueError.
+    clique and the classes must cover V, else ValueError.  ``floor`` may
+    supply an independent set already held (as a mask), which the search
+    must beat; the greedy set is computed only when it is None.  A floor
+    that is not an independent set of G raises ValueError.
     """
     cover = _checked_cover(g, cover)
+    if floor is None:
+        floor = greedy_independent_set(g)
+    elif floor < 0 or floor & ~g.full_mask or not g.is_independent_mask(floor):
+        raise ValueError(f"floor {floor:#x} is not an independent set of the {g.n} vertices of G")
     if g.n == 0:
         return AlphaResult(0, (), 0)
-    floor = greedy_independent_set(g)
     best, nodes = _search(g, cover, floor, floor.bit_count(), g.n + 1, budget)
     return AlphaResult(best.bit_count(), tuple(bits(best)), nodes)
 
@@ -119,12 +140,28 @@ def _search(g: Graph, cover: list[int], best_mask: int, best: int, target: int,
     the nodes used; with ``target`` <= n it returns at the first set of
     ``target`` vertices instead.  Each node keeps the classes of its parent's
     live list that still meet its candidates, in the parent's order, which
-    is the list a filter of the whole cover would give.
+    is the list a filter of the whole cover would give.  A tight node hands
+    its member children its live list and its parts' common neighbourhoods
+    (``parent_commons``), both without the part it branches on; every other
+    node hands on None.
     """
-    closed = [row | 1 << v for v, row in enumerate(g.adj)]
+    adj = g.adj
+    closed = [row | 1 << v for v, row in enumerate(adj)]
     nodes = 0
 
-    def search(parent_live: list[int], cands: int, chosen: int, count: int) -> None:
+    def common_of(part: int) -> int:
+        """The vertices adjacent to every vertex of ``part``."""
+        low = part & -part
+        common = adj[low.bit_length() - 1]
+        part ^= low
+        while part:
+            low = part & -part
+            common &= adj[low.bit_length() - 1]
+            part ^= low
+        return common
+
+    def search(parent_live: list[int], parent_commons: list[int] | None, cands: int,
+               chosen: int, count: int) -> None:
         nonlocal best, best_mask, nodes
         nodes += 1
         if nodes > budget:
@@ -133,19 +170,68 @@ def _search(g: Graph, cover: list[int], best_mask: int, best: int, target: int,
             best_mask = chosen
             raise _Reached
         live = [part for cls in parent_live if (part := cls & cands)]
-        if count + len(live) <= best:
+        slack = count + len(live) - best
+        if slack <= 0:
             return
         if not live:
             best, best_mask = count, chosen
             return
+        commons = None
+        if slack == 1:
+            # tight: only a set taking one vertex from every live part beats
+            # best, so a candidate adjacent to a whole part is no member
+            dead = 0
+            if parent_commons is None:
+                # common_of inline: a call per part costs dense random graphs
+                # about 8% of their search time
+                commons = []
+                for part in live:
+                    low = part & -part
+                    common = adj[low.bit_length() - 1]
+                    part ^= low
+                    while part:
+                        low = part & -part
+                        common &= adj[low.bit_length() - 1]
+                        part ^= low
+                    commons.append(common)
+                    dead |= common
+            else:
+                # below a tight parent, whose parts kill no candidate, only
+                # the parts that shrank can; the lists align part for part
+                commons = parent_commons[:]
+                for i in compress(range(len(live)), map(ne, live, parent_live)):
+                    commons[i] = common = common_of(live[i])
+                    dead |= common
+            dead &= cands
+            while dead:
+                cands &= ~dead
+                # most tight nodes end here, before any part is recomputed
+                if not all(map(and_, repeat(cands), live)):
+                    return
+                # a part's common neighbourhood grows only when it shrinks
+                shrunk = list(compress(range(len(live)), map(and_, repeat(dead), live)))
+                dead = 0
+                for i in shrunk:
+                    live[i] = part = live[i] & cands
+                    commons[i] = common = common_of(part)
+                    dead |= common
+                dead &= cands
         # branch on the sparsest live class: one subtree per member, plus skip
         cls = min(live, key=int.bit_count)
-        for v in bits(cls):
-            search(live, cands & ~closed[v], chosen | 1 << v, count + 1)
-        search(live, cands & ~cls, chosen, count)
+        if commons is None:
+            for v in bits(cls):
+                search(live, None, cands & ~closed[v], chosen | 1 << v, count + 1)
+        else:
+            # each member's child drops this part; it dies if it drops another
+            i = live.index(cls)
+            rest, rest_commons = live[:i] + live[i + 1:], commons[:i] + commons[i + 1:]
+            for v in bits(cls):
+                search(rest, rest_commons, cands & ~closed[v], chosen | 1 << v, count + 1)
+        if count + len(live) - 1 > best:
+            search(live, None, cands & ~cls, chosen, count)
 
     try:
-        search(cover, g.full_mask, 0, 0)
+        search(cover, None, g.full_mask, 0, 0)
     except _Reached:
         pass
     if not g.is_independent_mask(best_mask):

@@ -7,8 +7,8 @@ one edge, a two-leaf star, a triangle, a complete bipartite graph or a
 star K_{1,r-2}; the gem).  Three-vertex-path-free inputs are decided by
 counting components.  Every other supported family is decided in two
 steps: a greedy independent set answers yes when it reaches k, and
-otherwise the exact oracle ``alpha_exact`` decides under
-``SolveConfig.budget``.  Every yes carries a witness of k vertices that is
+otherwise the exact oracle ``alpha_exact``, starting from that greedy set,
+decides under ``SolveConfig.budget``.  Every yes carries a witness of k vertices that is
 checked before it is returned.
 
 ``solve_paper`` runs the paper's pipeline per family:
@@ -91,7 +91,7 @@ def solve_hfree(g: Graph, k: int, h: HPattern | Graph | str, seed: int = 0,
         if greedy.bit_count() >= k:
             out = SolveOutcome(True, tuple(bits(greedy))[:max(k, 0)], k, "greedy", seed)
         else:
-            exact = alpha_exact(g, budget)
+            exact = alpha_exact(g, budget, floor=greedy)
             yes = exact.alpha >= k
             out = SolveOutcome(yes, exact.witness[:k] if yes else (), k, "exact", seed)
     if out.decision and (len(set(out.witness)) < k or not g.is_independent_set(out.witness)):

@@ -20,6 +20,7 @@ from hfree_mis.hardness import (
     build_tile_gadget,
     construction_alpha_reaches,
     gen_grid_tiling,
+    is_feasible,
     verify_exclusions,
 )
 from hfree_mis.induced import find_induced
@@ -173,22 +174,31 @@ def _criterion_4_instances():
 
 
 def _criterion_4_k3_instances():
-    # k = 3 stops at m = 2: planted k = 3, m = 3 tilings with n_t >= 4
-    # pass 10^6 search nodes and can run out of the default budget
+    # k = 3 at m = 2, and at m = 3 with tiles of 3 or 4 cells, where a
+    # search without propagation at tight nodes passed 10^6 nodes; each
+    # tiling is given with its feasibility, from the planted solution or by
+    # exhaustion (about 0.9 s for an unplanted n_t = 4 tiling)
     rng = random.Random(95)
-    return [gen_grid_tiling(3, 2, 1 + t % 2, t % 3 != 0, rng)[0] for t in range(12)]
+    m2 = [gen_grid_tiling(3, 2, 1 + t % 2, t % 3 != 0, rng)[0] for t in range(12)]
+    out = [(gt, brute_force_feasible(gt) is not None) for gt in m2]
+    rng = random.Random(96)
+    for t in range(8):
+        gt, solution = gen_grid_tiling(3, 3, 3 + t // 2 % 2, t % 2 == 0, rng)
+        out.append((gt, is_feasible(gt, solution) if solution else brute_force_feasible(gt) is not None))
+    return out
 
 
 def test_criterion_4_hardness_equivalence():
     mismatches = 0
-    k2, k3 = _criterion_4_instances(), _criterion_4_k3_instances()
-    for gt in k2 + k3:
-        feasible = brute_force_feasible(gt) is not None
+    k2 = [(gt, brute_force_feasible(gt) is not None) for gt in _criterion_4_instances()]
+    k3 = _criterion_4_k3_instances()
+    for gt, feasible in k2 + k3:
         out = build_construction(gt, "first", 1)
         if construction_alpha_reaches(out) != feasible:
             mismatches += 1
-    _report("4", mismatches == 0, f"{len(k2)} k=2 and {len(k3)} k=3 grid tilings, "
-            f"equivalence mismatches {mismatches}")
+    m3 = sum(gt.m == 3 for gt, _ in k3)
+    _report("4", mismatches == 0, f"{len(k2)} k=2 and {len(k3)} k=3 grid tilings "
+            f"({m3} with m=3), equivalence mismatches {mismatches}")
 
 
 def test_criterion_5_exclusions():

@@ -4,7 +4,7 @@ import pytest
 
 from hfree_mis.cli import main
 from hfree_mis.errors import InputFormatError
-from hfree_mis.graph import random_graph
+from hfree_mis.graph import disjoint_union, random_graph
 from hfree_mis.io import emit_graph, parse_graph
 from hfree_mis.patterns import complete, pattern
 
@@ -175,10 +175,11 @@ def test_cli_seed_from_environment(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_solve_budget_exit_code(tmp_path, capsys):
-    # C5 is gem-free with alpha 2; greedy finds 2 < 3, so the oracle must
-    # search, and two nodes are not enough to refute k = 3
-    path = _write_graph(tmp_path, pattern("C5").graph)
-    assert main(["solve", "--input", path, "--pattern", "gem", "--k", "3",
+    # three disjoint C5s are gem-free with alpha 6; greedy finds 6 < 7, so
+    # the oracle must search, and refuting k = 7 takes more than two nodes
+    c5 = pattern("C5").graph
+    path = _write_graph(tmp_path, disjoint_union(disjoint_union(c5, c5), c5))
+    assert main(["solve", "--input", path, "--pattern", "gem", "--k", "7",
                  "--budget", "2"]) == 2
     assert "budget exceeded" in capsys.readouterr().err
 

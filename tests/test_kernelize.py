@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from hfree_mis.errors import PatternViolationError
+from hfree_mis import kernelize
+from hfree_mis.errors import BudgetExceededError, PatternViolationError
 from hfree_mis.graph import Graph, disjoint_union, random_graph
 from hfree_mis.induced import find_induced
 from hfree_mis.kernelize import (
@@ -184,3 +185,39 @@ def test_isolated_clique_route():
         a = alpha_exact(g).alpha
         for k in range(1, 5):
             assert solve_via_isolated_clique(g, k, 4) == (a >= k)
+
+
+def _oracle_nodes(monkeypatch, decide) -> list[int]:
+    """``nodes_used`` of each oracle call ``decide()`` makes, in order."""
+    calls = []
+
+    def recording(g, budget, *args, **kwargs):
+        res = alpha_exact(g, budget, *args, **kwargs)
+        calls.append(res.nodes_used)
+        return res
+
+    with monkeypatch.context() as m:
+        m.setattr(kernelize, "alpha_exact", recording)
+        decide()
+    return calls
+
+
+@pytest.mark.parametrize("route, h, r, n, seed", [
+    (solve_via_turing, clique_minus_star(5, 3), 5, 24, 51),
+    (solve_via_isolated_clique, disjoint_union(complete(3), complete(1)), 4, 16, 53),
+])
+def test_turing_routes_charge_one_budget(monkeypatch, route, h, r, n, seed):
+    # a no-instance whose oracle calls each fit the budget, while together
+    # they spend more than it: the route must run out, not pass each call
+    # the whole budget again
+    for g in sample_hfree(h, 20, n, seed=seed, densities=(0.15, 0.3)):
+        k = alpha_exact(g).alpha + 1
+        calls = _oracle_nodes(monkeypatch, lambda: route(g, k, r))
+        if sum(calls) > max(calls, default=0) > 0:
+            break
+    else:
+        pytest.fail("no sample spends more than its largest oracle call")
+    with pytest.raises(BudgetExceededError) as err:
+        route(g, k, r, budget=max(calls))
+    assert err.value.budget == max(calls) < err.value.nodes_used
+    assert route(g, k, r, budget=sum(calls)) is False

@@ -5,6 +5,12 @@ import pytest
 from hfree_mis import oracle
 from hfree_mis.errors import BudgetExceededError, InternalCheckError
 from hfree_mis.graph import random_graph
+from hfree_mis.hardness import (
+    brute_force_feasible,
+    build_construction,
+    construction_alpha_reaches,
+    gen_grid_tiling,
+)
 from hfree_mis.oracle import (
     alpha_exact,
     alpha_reaches,
@@ -82,12 +88,35 @@ def test_non_independent_witness_raises_internal_check(monkeypatch):
         oracle.alpha_exact(cycle(5))
 
 
+def _random_clique_cover(g, rng):
+    """Cliques grown from random seeds until they cover V; classes overlap."""
+    cover, covered = [], 0
+    for v in rng.sample(range(g.n), g.n):
+        if covered >> v & 1 and rng.random() < 0.7:
+            continue
+        cls = 1 << v
+        for u in rng.sample(range(g.n), g.n):
+            if cls & ~g.adj[u] == 0 and rng.random() < 0.6:
+                cls |= 1 << u
+        cover.append(cls)
+        covered |= cls
+    return cover
+
+
 def test_alpha_reaches_matches_enumeration():
-    rng = random.Random(9)
+    # propagation at tight nodes is sound for every clique cover, including
+    # one whose classes overlap
+    rng, cover_rng = random.Random(9), random.Random(11)
+    overlapping = 0
     for _ in range(60):
         g = random_graph(rng.randrange(0, 13), rng.random(), rng)
         alpha = max(m.bit_count() for m in enumerate_independent_sets(g))
-        for cover in (None, greedy_clique_cover(g, order=rng.sample(range(g.n), g.n))):
+        random_cover = _random_clique_cover(g, cover_rng)
+        overlapping += sum(cls.bit_count() for cls in random_cover) > g.n
+        for cover in (None, greedy_clique_cover(g, order=rng.sample(range(g.n), g.n)), random_cover):
+            res = alpha_exact(g, cover=cover)
+            assert res.alpha == alpha == len(res.witness)
+            assert g.is_independent_set(res.witness)
             for k in range(alpha + 2):
                 found = alpha_reaches(g, k, cover=cover)
                 if k <= alpha:
@@ -95,6 +124,7 @@ def test_alpha_reaches_matches_enumeration():
                     assert g.is_independent_set(found)
                 else:
                     assert found is None
+    assert overlapping >= 20
 
 
 def test_alpha_reaches_budget_exceeded_is_loud():
@@ -115,30 +145,32 @@ def test_bad_cover_raises_value_error():
             alpha_reaches(g, 2, cover=cover)
 
 
-# (n, alpha, witness, nodes_used) of alpha_exact on _pinned_graphs(), recorded
-# before each node filtered its parent's live classes instead of the cover:
-# the search tree must stay the same
+# (n, alpha, witness, nodes_used) of alpha_exact on _pinned_graphs().  The
+# alphas and witnesses date from before each node filtered its parent's live
+# classes instead of the cover; nodes_used was re-recorded once the search
+# began propagating at tight nodes and deciding the discard branch at the
+# parent (7,869 nodes in all before, 3,348 after)
 PINNED_ALPHA = [
-    (29, 9, (0, 6, 8, 11, 12, 13, 22, 23, 26), 156),
-    (51, 20, (1, 2, 6, 8, 11, 14, 15, 21, 22, 25, 27, 28, 30, 31, 38, 41, 43, 45, 47, 49), 673),
-    (40, 19, (0, 1, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 15, 17, 22, 26, 31, 33, 34), 95),
-    (25, 11, (1, 3, 4, 7, 8, 12, 13, 18, 21, 22, 24), 81),
-    (26, 8, (1, 9, 10, 11, 12, 13, 18, 20), 148),
-    (41, 10, (1, 3, 8, 12, 16, 20, 21, 22, 31, 39), 267),
-    (57, 12, (0, 3, 7, 17, 33, 35, 39, 42, 47, 48, 53, 56), 1101),
-    (52, 12, (4, 5, 17, 18, 20, 36, 38, 40, 43, 44, 49, 51), 1152),
-    (40, 10, (0, 1, 2, 3, 5, 7, 12, 25, 27, 39), 488),
-    (53, 13, (6, 8, 14, 15, 17, 21, 23, 30, 32, 33, 38, 41, 45), 956),
-    (21, 7, (0, 4, 6, 8, 11, 12, 15), 13),
-    (38, 9, (0, 2, 5, 9, 10, 12, 20, 26, 28), 413),
-    (31, 8, (6, 10, 12, 14, 15, 27, 28, 29), 188),
-    (24, 5, (0, 6, 7, 13, 18), 23),
-    (27, 11, (0, 1, 2, 4, 5, 10, 13, 16, 19, 24, 25), 123),
-    (31, 14, (1, 5, 7, 8, 9, 11, 13, 14, 15, 17, 20, 23, 26, 29), 113),
-    (36, 10, (0, 8, 9, 13, 16, 18, 20, 25, 28, 30), 468),
-    (48, 12, (4, 8, 10, 18, 20, 26, 32, 34, 39, 42, 44, 45), 631),
-    (40, 7, (2, 4, 6, 7, 18, 24, 28), 200),
-    (43, 13, (0, 2, 6, 7, 9, 10, 12, 16, 18, 19, 24, 31, 42), 580),
+    (29, 9, (0, 6, 8, 11, 12, 13, 22, 23, 26), 73),
+    (51, 20, (1, 2, 6, 8, 11, 14, 15, 21, 22, 25, 27, 28, 30, 31, 38, 41, 43, 45, 47, 49), 229),
+    (40, 19, (0, 1, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 15, 17, 22, 26, 31, 33, 34), 23),
+    (25, 11, (1, 3, 4, 7, 8, 12, 13, 18, 21, 22, 24), 33),
+    (26, 8, (1, 9, 10, 11, 12, 13, 18, 20), 39),
+    (41, 10, (1, 3, 8, 12, 16, 20, 21, 22, 31, 39), 92),
+    (57, 12, (0, 3, 7, 17, 33, 35, 39, 42, 47, 48, 53, 56), 549),
+    (52, 12, (4, 5, 17, 18, 20, 36, 38, 40, 43, 44, 49, 51), 498),
+    (40, 10, (0, 1, 2, 3, 5, 7, 12, 25, 27, 39), 201),
+    (53, 13, (6, 8, 14, 15, 17, 21, 23, 30, 32, 33, 38, 41, 45), 481),
+    (21, 7, (0, 4, 6, 8, 11, 12, 15), 5),
+    (38, 9, (0, 2, 5, 9, 10, 12, 20, 26, 28), 156),
+    (31, 8, (6, 10, 12, 14, 15, 27, 28, 29), 63),
+    (24, 5, (0, 6, 7, 13, 18), 7),
+    (27, 11, (0, 1, 2, 4, 5, 10, 13, 16, 19, 24, 25), 37),
+    (31, 14, (1, 5, 7, 8, 9, 11, 13, 14, 15, 17, 20, 23, 26, 29), 40),
+    (36, 10, (0, 8, 9, 13, 16, 18, 20, 25, 28, 30), 226),
+    (48, 12, (4, 8, 10, 18, 20, 26, 32, 34, 39, 42, 44, 45), 282),
+    (40, 7, (2, 4, 6, 7, 18, 24, 28), 105),
+    (43, 13, (0, 2, 6, 7, 9, 10, 12, 16, 18, 19, 24, 31, 42), 209),
 ]
 
 
@@ -155,3 +187,47 @@ def test_alpha_exact_search_tree_is_pinned():
         res = alpha_exact(g)
         got.append((g.n, res.alpha, res.witness, res.nodes_used))
     assert got == PINNED_ALPHA
+
+
+def test_floor_keeps_alpha_and_witness():
+    rng = random.Random(10)
+    graphs = list(_pinned_graphs()) + [random_graph(rng.randrange(0, 13), rng.random(), rng)
+                                       for _ in range(40)]
+    for g in graphs:
+        plain = alpha_exact(g)
+        assert alpha_exact(g, floor=greedy_independent_set(g)) == plain
+        empty = alpha_exact(g, floor=0)
+        assert empty.alpha == plain.alpha and g.is_independent_set(empty.witness)
+
+
+def test_bad_floor_raises_value_error():
+    g = cycle(5)
+    for floor in (0b00011, 0b100000, -1):    # an edge; a sixth vertex; not a mask
+        with pytest.raises(ValueError):
+            alpha_exact(g, floor=floor)
+
+
+def _random_clique_cover(g, rng):
+    """Cliques grown from random seeds until they cover V; classes overlap."""
+    cover, covered = [], 0
+    for v in rng.sample(range(g.n), g.n):
+        if covered >> v & 1 and rng.random() < 0.7:
+            continue
+        cls = 1 << v
+        for u in rng.sample(range(g.n), g.n):
+            if cls & ~g.adj[u] == 0 and rng.random() < 0.6:
+                cls |= 1 << u
+        cover.append(cls)
+        covered |= cls
+    return cover
+
+
+def test_construction_no_instances_end_within_twenty_nodes():
+    # second-variant k=2, m=5, n_t=8 tilings redrawn until infeasible: at
+    # the root every main clique must give a vertex, and propagation ends it
+    for seed in range(8):
+        rng = random.Random(seed)
+        gt, _ = gen_grid_tiling(2, 5, 8, False, rng)
+        while brute_force_feasible(gt) is not None:
+            gt, _ = gen_grid_tiling(2, 5, 8, False, rng)
+        assert construction_alpha_reaches(build_construction(gt, "second", 1), budget=20) is False
