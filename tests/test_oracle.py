@@ -222,10 +222,15 @@ def _random_clique_cover(g, rng):
     return cover
 
 
-def test_construction_no_instances_end_within_twenty_nodes():
-    # second-variant k=2, m=5, n_t=8 tilings redrawn until infeasible: at
-    # the root every main clique must give a vertex, and propagation ends it
+def test_constructions_end_within_few_nodes():
+    # second-variant k=2, m=5, n_t=8 tilings: a set of k' vertices takes one
+    # vertex from every main clique, so every node is tight; propagation
+    # refutes a no-instance (redrawn until infeasible) within 20 nodes and
+    # walks down to a planted solution with at most one dead end
     for seed in range(8):
+        gt, _ = gen_grid_tiling(2, 5, 8, True, random.Random(seed))
+        out = build_construction(gt, "second", 1)
+        assert construction_alpha_reaches(out, budget=out.k_prime + 2) is True
         rng = random.Random(seed)
         gt, _ = gen_grid_tiling(2, 5, 8, False, rng)
         while brute_force_feasible(gt) is not None:
