@@ -15,9 +15,8 @@ AAAI 2010).  At a tight node every candidate adjacent to a whole other
 part is deleted, since choosing it would empty that part; the node ends
 as soon as a part is empty, and deletion repeats until nothing changes.
 The rule is sound for any clique cover, overlapping classes included.
-Each tight node keeps the common neighbourhood of every live part, a
-child of a tight node looks up only the parts that shrank, and a search
-computes the common neighbourhood of each distinct part once.
+Each tight node keeps the common neighbourhood of every live part, and a
+child of a tight node recomputes only the parts that shrank.
 
 One search serves two entries: ``alpha_exact`` starts from a floor (a
 greedy independent set, or one the caller holds) and returns alpha with a
@@ -29,8 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from functools import reduce
-from operator import and_, ne, or_
+from operator import and_, ne
 
 from .errors import BudgetExceededError, InternalCheckError
 from .graph import Graph, bits
@@ -151,21 +149,15 @@ def _search(g: Graph, cover: list[int], best_mask: int, best: int, target: int,
     closed = [row | 1 << v for v, row in enumerate(adj)]
     nodes = 0
 
-    # common neighbourhoods of the parts met so far: parts recur across the
-    # tree, and a lookup costs less than the AND over a part's rows
-    known: dict[int, int] = {}
-
     def common_of(part: int) -> int:
-        """The vertices adjacent to every vertex of ``part``, entered in
-        ``known``."""
+        """The vertices adjacent to every vertex of ``part``."""
         low = part & -part
         common = adj[low.bit_length() - 1]
-        rest = part ^ low
-        while rest:
-            low = rest & -rest
+        part ^= low
+        while part:
+            low = part & -part
             common &= adj[low.bit_length() - 1]
-            rest ^= low
-        known[part] = common
+            part ^= low
         return common
 
     def search(parent_live: list[int], parent_commons: list[int] | None, cands: int,
@@ -188,17 +180,27 @@ def _search(g: Graph, cover: list[int], best_mask: int, best: int, target: int,
         if slack == 1:
             # tight: only a set taking one vertex from every live part beats
             # best, so a candidate adjacent to a whole part is no member
+            dead = 0
             if parent_commons is None:
-                commons = [known[part] if part in known else common_of(part) for part in live]
-                dead = reduce(or_, commons)
+                # common_of inline: a call per part costs dense random graphs
+                # about 8% of their search time
+                commons = []
+                for part in live:
+                    low = part & -part
+                    common = adj[low.bit_length() - 1]
+                    part ^= low
+                    while part:
+                        low = part & -part
+                        common &= adj[low.bit_length() - 1]
+                        part ^= low
+                    commons.append(common)
+                    dead |= common
             else:
                 # below a tight parent, whose parts kill no candidate, only
                 # the parts that shrank can; the lists align part for part
                 commons = parent_commons[:]
-                dead = 0
                 for i in compress(range(len(live)), map(ne, live, parent_live)):
-                    part = live[i]
-                    commons[i] = common = known[part] if part in known else common_of(part)
+                    commons[i] = common = common_of(live[i])
                     dead |= common
             dead &= cands
             while dead:
@@ -211,7 +213,7 @@ def _search(g: Graph, cover: list[int], best_mask: int, best: int, target: int,
                 dead = 0
                 for i in shrunk:
                     live[i] = part = live[i] & cands
-                    commons[i] = common = known[part] if part in known else common_of(part)
+                    commons[i] = common = common_of(part)
                     dead |= common
                 dead &= cands
         # branch on the sparsest live class: one subtree per member, plus skip
