@@ -8,8 +8,8 @@ star K_{1,r-2}; the gem).  Three-vertex-path-free inputs are decided by
 counting components.  Every other supported family is decided in two
 steps: a greedy independent set answers yes when it reaches k, and
 otherwise the exact oracle ``alpha_exact``, starting from that greedy set,
-decides under ``SolveConfig.budget``.  Every yes carries a witness of k vertices that is
-checked before it is returned.
+decides under ``SolveConfig.budget``.  Every yes carries a witness of k
+vertices that is checked before it is returned.
 
 ``solve_paper`` runs the paper's pipeline per family:
 
