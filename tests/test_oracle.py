@@ -207,21 +207,6 @@ def test_bad_floor_raises_value_error():
             alpha_exact(g, floor=floor)
 
 
-def _random_clique_cover(g, rng):
-    """Cliques grown from random seeds until they cover V; classes overlap."""
-    cover, covered = [], 0
-    for v in rng.sample(range(g.n), g.n):
-        if covered >> v & 1 and rng.random() < 0.7:
-            continue
-        cls = 1 << v
-        for u in rng.sample(range(g.n), g.n):
-            if cls & ~g.adj[u] == 0 and rng.random() < 0.6:
-                cls |= 1 << u
-        cover.append(cls)
-        covered |= cls
-    return cover
-
-
 def test_constructions_end_within_few_nodes():
     # second-variant k=2, m=5, n_t=8 tilings: a set of k' vertices takes one
     # vertex from every main clique, so every node is tight; propagation
