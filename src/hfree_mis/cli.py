@@ -91,7 +91,8 @@ def cmd_kernel(args) -> int:
             print(f"note: {note}")
         if args.output:
             parts = []
-            for idx, (sub, kk) in enumerate(out.subinstances):
+            for idx, (mask, kk) in enumerate(out.subinstances):
+                sub, _kept = g.induced(mask)
                 parts.append(emit_graph(sub, comments=(f"subinstance {idx} parameter {kk}",)))
             _write(args.output, "".join(parts))
         return 0
@@ -101,10 +102,11 @@ def cmd_kernel(args) -> int:
     for note in res.trace:
         print(f"rule: {note}")
     if res.verdict == "reduced":
-        print(f"reduced: n = {res.graph.n}, k = {res.k_out}")
+        print(f"reduced: n = {res.kept.bit_count()}, k = {args.k}")
         if args.output:
-            kept = " ".join(str(v + 1) for v in res.kept_vertices)
-            _write(args.output, emit_graph(res.graph, comments=(f"kept {kept}",)))
+            sub, kept = g.induced(res.kept)
+            names = " ".join(str(v + 1) for v in kept)
+            _write(args.output, emit_graph(sub, comments=(f"kept {names}",)))
     elif res.verdict == "solved_yes":
         print(f"witness = {' '.join(str(v + 1) for v in sorted(res.witness))}")
     return 0

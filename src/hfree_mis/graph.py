@@ -5,7 +5,8 @@ as immutable: mutators return new graphs, so instances are safe to share
 across threads.  The two searches the algorithms keep coming back to work
 on a vertex mask of the graph, with no relabelled copy:
 ``Graph.connected_components(mask)`` and the clique searches
-``Graph.cliques(mask, r)`` and ``Graph.max_clique(mask)``.
+``Graph.cliques(mask, r)`` and ``Graph.max_clique(mask)``.  Entries that
+take a caller's mask check it with ``Graph.vertex_mask``.
 """
 
 from __future__ import annotations
@@ -65,6 +66,19 @@ class Graph:
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
+
+    def vertex_mask(self, mask: int | None) -> int:
+        """``mask`` once it is known to name vertices of G, or all of G for
+        None; a negative mask, or one with vertices outside V(G), is a
+        ValueError."""
+        if mask is None:
+            return (1 << self.n) - 1
+        if mask < 0:
+            raise ValueError(f"mask {mask} is negative")
+        if mask >> self.n:
+            raise ValueError(f"mask holds vertices {tuple(bits(mask >> self.n << self.n))} "
+                             f"outside the {self.n} vertices of G")
+        return mask
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)

@@ -228,13 +228,7 @@ def find_induced(g: Graph, h: HPattern | Graph, cap: int = PATTERN_CAP,
     hg = h.graph if isinstance(h, HPattern) else h
     if hg.n > cap:
         raise ValueError(f"pattern has {hg.n} vertices, cap is {cap}")
-    if mask is None:
-        mask = g.full_mask
-    elif mask < 0:
-        raise ValueError(f"mask {mask} is negative")
-    elif mask >> g.n:
-        raise ValueError(f"mask holds vertices {tuple(bits(mask >> g.n << g.n))} "
-                         f"outside the {g.n} vertices of G")
+    mask = g.vertex_mask(mask)
     if hg.n > mask.bit_count():
         return None
     if hg.n == 0:

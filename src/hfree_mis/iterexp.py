@@ -298,14 +298,18 @@ def g_faithful(k: int, f_k: int) -> int:
     return ramsey_multicolor_bound(colors, h_faithful(k, f_k))
 
 
+# desk-mode caps on the stage's index subsets and signature tuples
+MAX_INDEX_SUBSETS = 64
+MAX_SIGNATURE_TUPLES = 256
+
+
 @dataclass(frozen=True)
 class StageConfig:
-    """Caps for the extraction stage.  ``faithful=True`` removes them (only
-    viable for k <= 2)."""
+    """The extraction stage's colour-coding rounds.  ``faithful=True`` runs
+    one round and lifts the caps MAX_INDEX_SUBSETS and MAX_SIGNATURE_TUPLES
+    (only viable for k <= 2)."""
 
     faithful: bool = False
-    max_index_subsets: int = 64
-    max_signature_tuples: int = 256
     color_rounds: int = 4
 
 
@@ -352,8 +356,8 @@ def ramsey_extraction_stage(g: Graph, k: int, seed_sets: list[tuple[int, ...]],
 
     exhausted = True
     subsets = list(combinations(range(len(mono)), f_k))
-    if not config.faithful and len(subsets) > config.max_index_subsets:
-        subsets = subsets[: config.max_index_subsets]
+    if not config.faithful and len(subsets) > MAX_INDEX_SUBSETS:
+        subsets = subsets[:MAX_INDEX_SUBSETS]
         exhausted = False
 
     clique_vertices = mask_of(v for cl in full_cliques for v in cl)
@@ -390,8 +394,8 @@ def ramsey_extraction_stage(g: Graph, k: int, seed_sets: list[tuple[int, ...]],
             if any(not c for c in classes):
                 continue
             tuples = list(product(*[sorted(c.items()) for c in classes]))
-            if not config.faithful and len(tuples) > config.max_signature_tuples:
-                tuples = tuples[: config.max_signature_tuples]
+            if not config.faithful and len(tuples) > MAX_SIGNATURE_TUPLES:
+                tuples = tuples[:MAX_SIGNATURE_TUPLES]
                 exhausted = False
             for combo in tuples:
                 parts = tuple(mask for _sig, mask in combo)

@@ -6,6 +6,8 @@ vertex.
 Every reduction keeps the answer: a KernelResult is either the instance
 solved outright (with a verified witness for yes), or a reduced instance
 that is an induced subgraph of the input and is yes iff the input was.
+The kernels and the Turing drivers name every subgraph by its vertex mask
+of the input, so witnesses and violations are in input vertex ids.
 Structural checks are verified computationally; when one fails, the
 offending induced pattern is raised, never an unsound deletion applied.
 """
@@ -22,11 +24,11 @@ from .ramsey import eh_extract, ramsey_bound, ramsey_extract
 
 @dataclass
 class KernelResult:
+    """A solved instance, or the reduced instance G[kept] with the same k."""
+
     verdict: str                      # "reduced" | "solved_yes" | "solved_no"
-    graph: Graph | None
-    k_out: int
     witness: tuple[int, ...] = ()
-    kept_vertices: tuple[int, ...] = ()   # reduced index -> input index
+    kept: int = 0                     # the reduced instance's vertex mask
     trace: list[str] = field(default_factory=list)
 
     @property
@@ -44,9 +46,8 @@ def kernel_krfree(g: Graph, k: int, r: int) -> KernelResult:
         out = ramsey_extract(g, r, k)
         if out.kind == "clique":
             raise PatternViolationError(f"K{r}", out.members, "input is not clique-free")
-        return KernelResult("solved_yes", None, k, out.members,
-                            trace=[f"ramsey: n >= bound({r},{k})"])
-    return KernelResult("reduced", g, k, kept_vertices=tuple(range(g.n)),
+        return KernelResult("solved_yes", out.members, trace=[f"ramsey: n >= bound({r},{k})"])
+    return KernelResult("reduced", kept=g.full_mask,
                         trace=[f"below bound({r},{k}) = {ramsey_bound(r, k)}"])
 
 
@@ -100,13 +101,12 @@ def kernel_paw_like(g: Graph, k: int, r: int) -> KernelResult:
     multipartite components collapse to their largest part, clique-free
     components resolve by the Ramsey kernel, and a large greedy independent
     set answers yes outright).  Every rule works on the mask of the
-    vertices still kept, so witnesses and violations name input vertices;
-    the reduced graph is copied once, for the result.
+    vertices still kept, which is also the reduced instance.
     """
     if r < 4:
         raise ValueError("need r >= 4")
     if k <= 0:
-        return KernelResult("solved_yes", None, k, (), trace=["k <= 0"])
+        return KernelResult("solved_yes", trace=["k <= 0"])
     q = (k - 1) * (r - 4) + 1
     clique_floor = max(q, 2 * r - 6)
 
@@ -115,11 +115,11 @@ def kernel_paw_like(g: Graph, k: int, r: int) -> KernelResult:
 
     for _ in range(g.n + 1):
         if alive.bit_count() < k:
-            return KernelResult("solved_no", None, k, trace=trace + ["fewer than k vertices"])
+            return KernelResult("solved_no", trace=trace + ["fewer than k vertices"])
         gi = greedy_independent_set(g, alive)
         if gi.bit_count() >= k:
             trace.append("greedy independent set reached k")
-            return KernelResult("solved_yes", None, k, tuple(bits(gi)), trace=trace)
+            return KernelResult("solved_yes", tuple(bits(gi)), trace=trace)
 
         reduced, result = _component_passes(g, alive, k, r, trace)
         if result is not None:
@@ -132,7 +132,7 @@ def kernel_paw_like(g: Graph, k: int, r: int) -> KernelResult:
         if out.kind == "independent_set":
             if out.size >= k:
                 trace.append("extracted independent set reached k")
-                return KernelResult("solved_yes", None, k, out.members, trace=trace)
+                return KernelResult("solved_yes", out.members, trace=trace)
             trace.append(f"extractor returned a small independent set at n={alive.bit_count()}")
             break
         clique = _maximalize_clique(g, mask_of(out.members), alive)
@@ -145,8 +145,7 @@ def kernel_paw_like(g: Graph, k: int, r: int) -> KernelResult:
             break
         alive = reduced
 
-    sub, kept = g.induced(alive)
-    return KernelResult("reduced", sub, k, kept_vertices=tuple(kept), trace=trace)
+    return KernelResult("reduced", kept=alive, trace=trace)
 
 
 def _component_passes(g: Graph, alive: int, k: int, r: int, trace: list[str]):
@@ -158,7 +157,7 @@ def _component_passes(g: Graph, alive: int, k: int, r: int, trace: list[str]):
     if len(comps) >= k:
         wit = tuple(next(bits(c)) for c in comps[:k])
         trace.append("k components")
-        return None, KernelResult("solved_yes", None, k, wit, trace=list(trace))
+        return None, KernelResult("solved_yes", wit, trace=list(trace))
     for comp in comps:
         parts = _complete_multipartite_parts(g, comp)
         if parts is not None and len(parts) >= 2:
@@ -180,7 +179,7 @@ def _component_passes(g: Graph, alive: int, k: int, r: int, trace: list[str]):
                 raise InternalCheckError(
                     f"component has a clique larger than its clique number {omega}")
             trace.append(f"component saturated the bound for clique number {omega}")
-            return None, KernelResult("solved_yes", None, k, out.members, trace=list(trace))
+            return None, KernelResult("solved_yes", out.members, trace=list(trace))
     return None, None
 
 
@@ -257,16 +256,17 @@ def _complete_multipartite_parts(g: Graph, comp: int) -> list[int] | None:
 @dataclass
 class TuringKernelOutput:
     """Bounded subinstances whose disjunction answers the input; each pair is
-    (graph, parameter)."""
+    (vertex mask of the input, parameter), and (0, 0) stands for a
+    subinstance already solved yes."""
 
-    subinstances: list[tuple[Graph, int]]
-    combiner: str = "or"
+    subinstances: list[tuple[int, int]]
     notes: list[str] = field(default_factory=list)
 
 
-def turing_kernel_star(g: Graph, k: int, r: int) -> TuringKernelOutput:
-    """Subinstance generator for connected graphs excluding K_r minus a star
-    with r-2 leaves (a clique of size r-1 with a pendant vertex); r >= 4.
+def turing_kernel_star(g: Graph, k: int, r: int, mask: int | None = None) -> TuringKernelOutput:
+    """Subinstance generator for a connected G[mask] (default: all of G)
+    excluding K_r minus a star with r-2 leaves (a clique of size r-1 with a
+    pendant vertex); r >= 4.
 
     Extracts a clique C, certifies V = C u N(C) with every neighbor seeing
     all but at most r-3 of C, and emits the complement-of-neighborhood
@@ -275,34 +275,35 @@ def turing_kernel_star(g: Graph, k: int, r: int) -> TuringKernelOutput:
     """
     if r < 4:
         raise ValueError("need r >= 4")
-    if not g.is_connected():
+    mask = g.vertex_mask(mask)
+    if len(g.connected_components(mask)) > 1:
         raise ValueError("turing_kernel_star expects a connected graph")
     if k <= 0:
-        return TuringKernelOutput([(Graph(0), 0)], notes=["trivially yes"])
+        return TuringKernelOutput([(0, 0)], notes=["trivially yes"])
     if k == 1:
-        return TuringKernelOutput([(Graph(0), 0)] if g.n else [], notes=["any vertex"])
+        return TuringKernelOutput([(0, 0)] if mask else [], notes=["any vertex"])
 
-    out = eh_extract(g, r, r - 2)
+    out = eh_extract(g, r, r - 2, mask)
     if out.kind == "independent_set":
         if out.size >= k:
-            return TuringKernelOutput([(Graph(0), 0)], notes=["extractor found the set"])
-        return TuringKernelOutput([(g, k)], notes=["small instance (extractor bound)"])
-    clique = _maximalize_clique(g, mask_of(out.members), g.full_mask)
+            return TuringKernelOutput([(0, 0)], notes=["extractor found the set"])
+        return TuringKernelOutput([(mask, k)], notes=["small instance (extractor bound)"])
+    clique = _maximalize_clique(g, mask_of(out.members), mask)
     csize = clique.bit_count()
     if csize <= r * r:
-        return TuringKernelOutput([(g, k)], notes=["small instance (bounded clique)"])
+        return TuringKernelOutput([(mask, k)], notes=["small instance (bounded clique)"])
 
     b_mask = 0
     for v in bits(clique):
         b_mask |= g.adj[v]
-    b_mask &= ~clique
+    b_mask &= mask & ~clique
     for u in bits(b_mask):
         if (g.adj[u] & clique).bit_count() < csize - (r - 3):
             nbr = next(bits(g.adj[u] & clique))
             nons = list(bits(clique & ~g.adj[u]))[: r - 2]
             raise PatternViolationError(f"K{r}-K1,{r - 2}", (u, nbr, *nons),
                                         "neighbor missing too much of the clique")
-    outside = g.full_mask & ~clique & ~b_mask
+    outside = mask & ~clique & ~b_mask
     if outside:
         u = next(v for v in bits(b_mask) if g.adj[v] & outside)
         w = next(bits(g.adj[u] & outside))
@@ -310,32 +311,38 @@ def turing_kernel_star(g: Graph, k: int, r: int) -> TuringKernelOutput:
         raise PatternViolationError(f"K{r}-K1,{r - 2}", (w, u, *core),
                                     "vertex at distance two from the clique")
 
-    subs: list[tuple[Graph, int]] = []
+    subs: list[tuple[int, int]] = []
     notes: list[str] = []
     for u in bits(b_mask):
-        mask = b_mask & ~g.closed_neighborhood(u)
-        subs.append(_reduced_sub(g, mask, k - 1, r))
+        piece = b_mask & ~g.closed_neighborhood(u)
+        subs.append(_reduced_sub(g, piece, k - 1, r, clique, u))
         for v in bits(clique & ~g.adj[u]):
-            mask2 = mask & ~g.closed_neighborhood(v)
-            subs.append(_reduced_sub(g, mask2, k - 2, r))
+            subs.append(_reduced_sub(g, piece & ~g.closed_neighborhood(v), k - 2, r, clique, u))
     notes.append(f"emitted {len(subs)} subinstances from a clique of size {csize}")
     return TuringKernelOutput(subs, notes=notes)
 
 
-def _reduced_sub(g: Graph, mask: int, k_sub: int, r: int) -> tuple[Graph, int]:
-    """Each emitted piece avoids cliques of size r-2, so the Ramsey kernel
-    applies with r-2; a clique there refutes the host's freeness."""
-    sub, sub_map = g.induced(mask)
+def _reduced_sub(g: Graph, piece: int, k_sub: int, r: int, clique: int, u: int) -> tuple[int, int]:
+    """Each emitted piece, outside N[u], avoids cliques of size r-2, so the
+    Ramsey kernel applies with r-2.  A clique Q there, a vertex x of the big
+    clique seeing u and all of Q, and u induce K_r - K_{1,r-2}: u misses at
+    most r-3 clique vertices and so does each vertex of Q, fewer than the
+    clique's r^2."""
     if k_sub <= 0:
-        return Graph(0), 0
-    if sub.n >= ramsey_bound(r - 2, k_sub):
-        out = ramsey_extract(sub, r - 2, k_sub)
+        return 0, 0
+    if piece.bit_count() >= ramsey_bound(r - 2, k_sub):
+        out = ramsey_extract(g, r - 2, k_sub, piece)
         if out.kind == "clique":
+            sees_all = clique & g.adj[u]
+            for q in out.members:
+                sees_all &= g.adj[q]
+            if not sees_all:
+                raise InternalCheckError("a clique of more than r^2 vertices leaves no common neighbour")
             raise PatternViolationError(
-                f"K{r}-K1,{r - 2}", tuple(sub_map[v] for v in out.members),
+                f"K{r}-K1,{r - 2}", (*out.members, next(bits(sees_all)), u),
                 "emitted piece contains a large clique")
-        return Graph(0), 0  # solved: represent as a trivially-yes instance
-    return sub, k_sub
+        return 0, 0  # solved: the extractor found k_sub independent vertices
+    return piece, k_sub
 
 
 class _SharedBudget:
@@ -346,9 +353,9 @@ class _SharedBudget:
         self.budget = budget
         self.used = 0
 
-    def alpha(self, g: Graph) -> int:
+    def alpha(self, g: Graph, mask: int) -> int:
         try:
-            res = alpha_exact(g, self.budget - self.used)
+            res = alpha_exact(g, self.budget - self.used, mask=mask)
         except BudgetExceededError as exc:
             raise BudgetExceededError(self.used + exc.nodes_used, self.budget) from None
         self.used += res.nodes_used
@@ -362,15 +369,10 @@ def solve_via_turing(g: Graph, k: int, r: int, budget: int = DEFAULT_BUDGET) -> 
     shared = _SharedBudget(budget)
     total = 0
     for comp in g.connected_components():
-        sub, kept = g.induced(comp)
         best = 0
         for i in range(1, k + 1):
-            try:
-                out = turing_kernel_star(sub, i, r)
-            except PatternViolationError as exc:
-                raise exc.lifted(kept) from None
-            hit = any(shared.alpha(j_g) >= j_k for j_g, j_k in out.subinstances)
-            if hit:
+            out = turing_kernel_star(g, i, r, comp)
+            if any(shared.alpha(g, j_mask) >= j_k for j_mask, j_k in out.subinstances):
                 best = i
             else:
                 break
@@ -381,10 +383,12 @@ def solve_via_turing(g: Graph, k: int, r: int, budget: int = DEFAULT_BUDGET) -> 
 
 
 def solve_via_isolated_clique(g: Graph, k: int, r: int, budget: int = DEFAULT_BUDGET) -> bool:
-    """Decision for graphs excluding K_{r-1} plus an isolated vertex: guess a
-    solution vertex, recurse into its non-neighborhood, which is
-    K_{r-1}-free and shrinks by the Ramsey kernel.  Every oracle call
-    draws on the one ``budget``."""
+    """Decision for graphs excluding K_{r-1} plus an isolated vertex, the
+    Turing kernel behind the verdict rule ``turing-kernel:isolated-vertex``:
+    guess a solution vertex v; its non-neighborhood is K_{r-1}-free, so it
+    is solved by the Ramsey extractor when it reaches ramsey_bound(r-1, k-1)
+    vertices and is a bounded instance for the oracle otherwise.  Every
+    oracle call draws on the one ``budget``."""
     if k <= 0:
         return True
     if g.n == 0:
@@ -393,13 +397,13 @@ def solve_via_isolated_clique(g: Graph, k: int, r: int, budget: int = DEFAULT_BU
         return True
     shared = _SharedBudget(budget)
     for v in range(g.n):
-        mask = g.full_mask & ~g.closed_neighborhood(v)
-        sub, sub_map = g.induced(mask)
-        res = kernel_krfree(sub, k - 1, r - 1)
-        if res.verdict == "solved_yes":
+        non = g.full_mask & ~g.closed_neighborhood(v)
+        if non.bit_count() >= ramsey_bound(r - 1, k - 1):
+            out = ramsey_extract(g, r - 1, k - 1, non)
+            if out.kind == "clique":
+                raise PatternViolationError(f"K{r - 1}+K1", (*out.members, v),
+                                            "clique in a non-neighborhood")
             return True
-        if res.verdict != "reduced":
-            raise InternalCheckError(f"Ramsey kernel returned {res.verdict}")
-        if shared.alpha(res.graph) >= k - 1:
+        if shared.alpha(g, non) >= k - 1:
             return True
     return False

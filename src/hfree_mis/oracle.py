@@ -21,7 +21,8 @@ child of a tight node recomputes only the parts that shrank.
 One search serves two entries: ``alpha_exact`` starts from a floor (a
 greedy independent set, or one the caller holds) and returns alpha with a
 witness; ``alpha_reaches`` starts from the bound k - 1 and stops at the
-first independent set of k vertices.
+first independent set of k vertices.  ``alpha_exact`` also searches G[mask]
+as it would search the relabelled copy, with a witness in G's vertex ids.
 """
 
 from __future__ import annotations
@@ -75,24 +76,29 @@ def greedy_independent_set(g: Graph, mask: int | None = None) -> int:
 
 
 def alpha_exact(g: Graph, budget: int = DEFAULT_BUDGET, cover: list[int] | None = None,
-                floor: int | None = None) -> AlphaResult:
-    """Exact alpha(G) with a witness, or BudgetExceededError.
+                floor: int | None = None, mask: int | None = None) -> AlphaResult:
+    """Exact alpha(G[mask]) (default: all of G) with a witness, or
+    BudgetExceededError.
 
-    ``cover`` may supply a known clique cover (e.g. the main cliques of a
-    hardness construction) to sharpen pruning; every class must be a
-    clique and the classes must cover V, else ValueError.  ``floor`` may
-    supply an independent set already held (as a mask), which the search
-    must beat; the greedy set is computed only when it is None.  A floor
-    that is not an independent set of G raises ValueError.
+    On a mask the search is the one on the copy G[mask]: the greedy cover
+    orders the mask by degree inside it, and the greedy floor is drawn
+    inside it.  ``cover`` may supply a known clique cover (e.g. the main
+    cliques of a hardness construction) to sharpen pruning; ``floor`` an
+    independent set already held (as a mask), which the search must beat.
+    ValueError when the mask names vertices outside G, a cover class is not
+    a clique or the classes do not cover exactly the mask, or the floor is
+    not an independent set inside the mask.
     """
-    cover = _checked_cover(g, cover)
+    whole = mask is None
+    mask = g.vertex_mask(mask)
+    cover = _checked_cover(g, cover, mask)
     if floor is None:
-        floor = greedy_independent_set(g)
-    elif floor < 0 or floor & ~g.full_mask or not g.is_independent_mask(floor):
-        raise ValueError(f"floor {floor:#x} is not an independent set of the {g.n} vertices of G")
-    if g.n == 0:
+        floor = greedy_independent_set(g) if whole else greedy_independent_set(g, mask)
+    elif floor < 0 or floor & ~mask or not g.is_independent_mask(floor):
+        raise ValueError(f"floor {floor:#x} is not an independent set of the vertices searched")
+    if not mask:
         return AlphaResult(0, (), 0)
-    best, nodes = _search(g, cover, floor, floor.bit_count(), g.n + 1, budget)
+    best, nodes = _search(g, cover, mask, floor, floor.bit_count(), mask.bit_count() + 1, budget)
     return AlphaResult(best.bit_count(), tuple(bits(best)), nodes)
 
 
@@ -105,23 +111,28 @@ def alpha_reaches(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
     greedy floor: it prunes every branch that cannot reach k and stops at
     the first set that does.  ``cover`` is checked as in ``alpha_exact``.
     """
-    cover = _checked_cover(g, cover)
+    cover = _checked_cover(g, cover, g.full_mask)
     if k <= 0:
         return ()
-    found, _nodes = _search(g, cover, 0, k - 1, k, budget)
+    found, _nodes = _search(g, cover, g.full_mask, 0, k - 1, k, budget)
     return tuple(bits(found)) if found.bit_count() == k else None
 
 
-def _checked_cover(g: Graph, cover: list[int] | None) -> list[int]:
-    """The greedy cover when none is supplied; else ``cover`` once each class
-    is known to be a clique and their union to be V."""
+def _checked_cover(g: Graph, cover: list[int] | None, mask: int) -> list[int]:
+    """The greedy cover of G[mask] when none is supplied; else ``cover`` once
+    each class is known to be a clique and their union to be the mask."""
     if cover is None:
-        return greedy_clique_cover(g)
+        if mask == g.full_mask:
+            return greedy_clique_cover(g)
+        adj = g.adj
+        return greedy_clique_cover(g, sorted(bits(mask), key=lambda v: (adj[v] & mask).bit_count(),
+                                             reverse=True))
     union = 0
     for cls in cover:
         union |= cls
-    if union != g.full_mask:
-        raise ValueError(f"cover classes cover {tuple(bits(union))}, not the {g.n} vertices of G")
+    if union != mask:
+        raise ValueError(f"cover classes cover {tuple(bits(union))}, "
+                         f"not the {mask.bit_count()} vertices searched")
     for cls in cover:
         if not g.is_clique_mask(cls):
             raise ValueError(f"cover class {tuple(bits(cls))} is not a clique")
@@ -132,9 +143,10 @@ class _Reached(Exception):
     """Unwinds the search at the first independent set of the target size."""
 
 
-def _search(g: Graph, cover: list[int], best_mask: int, best: int, target: int,
+def _search(g: Graph, cover: list[int], mask: int, best_mask: int, best: int, target: int,
             budget: int) -> tuple[int, int]:
-    """Branch and bound for an independent set of more than ``best`` vertices.
+    """Branch and bound for an independent set of more than ``best`` vertices
+    of G[mask].
 
     Returns the largest set found (``best_mask`` when none beats ``best``) and
     the nodes used; with ``target`` <= n it returns at the first set of
@@ -231,7 +243,7 @@ def _search(g: Graph, cover: list[int], best_mask: int, best: int, target: int,
             search(live, None, cands & ~cls, chosen, count)
 
     try:
-        search(cover, None, g.full_mask, 0, 0)
+        search(cover, None, mask, 0, 0)
     except _Reached:
         pass
     if not g.is_independent_mask(best_mask):

@@ -190,11 +190,11 @@ def _eh_rec(g: Graph, mask: int, r: int, s: int, ops: _OpCounter) -> tuple[str, 
     return "independent_set", indep
 
 
-def eh_extract(g: Graph, r: int, s: int, ops_limit: int | None = None,
-               mask: int | None = None) -> RamseyOutcome:
+def eh_extract(g: Graph, r: int, s: int, mask: int | None = None) -> RamseyOutcome:
     """Clique or independent set of size >= ceil(n^(1/(r-1))) in a
     (K_r - K_{1,s})-free graph G[mask] (default: all of G) on n vertices, in
-    polynomial time.
+    polynomial time: a run past 50 n^3 + 10,000 operations raises
+    InternalCheckError.
 
     Connectivity is not required by the recursion.  If a forbidden pattern
     is met mid-run the caller lied; the violation carries the embedding.
@@ -206,7 +206,7 @@ def eh_extract(g: Graph, r: int, s: int, ops_limit: int | None = None,
     n = mask.bit_count()
     if n == 0:
         raise ValueError("empty graph")
-    ops = _OpCounter(ops_limit if ops_limit is not None else 50 * n**3 + 10_000)
+    ops = _OpCounter(50 * n**3 + 10_000)
     kind, members = _eh_rec(g, mask, r, s, ops)
     target = ceil_root(n, r - 1)
     if members.bit_count() < target and n >= ramsey_bound(target, target):

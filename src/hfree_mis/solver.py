@@ -247,8 +247,8 @@ def _solve_by_paw_kernel(g: Graph, k: int, r: int, seed: int,
                             f"kernel r={r}", seed, res.trace)
     if res.verdict == "solved_no":
         return SolveOutcome(False, (), k, f"kernel r={r}", seed, res.trace)
-    exact = alpha_exact(res.graph, config.budget)
-    wit = tuple(sorted(res.kept_vertices[v] for v in exact.witness[:k]))
+    exact = alpha_exact(g, config.budget, mask=res.kept)
+    wit = exact.witness[:k]
     ok = exact.alpha >= k
     return SolveOutcome(ok, wit if ok else (), k, f"kernel r={r} + exact", seed, res.trace)
 

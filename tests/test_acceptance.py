@@ -118,9 +118,9 @@ def test_criterion_2_kernels():
                 if truth >= k:
                     decision_failures += 1
             else:
-                if (alpha_exact(res.graph).alpha >= k) != (truth >= k):
+                if (alpha_exact(g, mask=res.kept).alpha >= k) != (truth >= k):
                     decision_failures += 1
-                if res.graph.n > comb(r + k - 2, r - 1) + (k - 1) * (r - 4) + 1:
+                if res.kept.bit_count() > comb(r + k - 2, r - 1) + (k - 1) * (r - 4) + 1:
                     size_bound_failures += 1
 
     star_free = _sample_free(pattern("K5-K1,3"), 200, 40, 91, (0.06, 0.1, 0.16))

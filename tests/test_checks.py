@@ -1,6 +1,8 @@
 """Soundness checks are explicit raises, so they survive ``python -O``,
-vertex subsets are masks of the graph at hand, not relabelled copies, and
-every budget defaults to ``oracle.DEFAULT_BUDGET``."""
+vertex subsets are masks of the graph at hand, not relabelled copies (the
+kernels and the Turing drivers included; copies are made only at the three
+sites of ``RELABELLING_SITES``), and every budget defaults to
+``oracle.DEFAULT_BUDGET``."""
 
 import ast
 import os
@@ -25,11 +27,8 @@ def test_package_has_no_assert_statements():
 # (module, enclosing function) allowed to make a relabelled copy
 RELABELLING_SITES = {
     ("iterexp", "solve_within"),          # the expansion driver's memo key
-    ("kernelize", "kernel_paw_like"),     # the reduced graph it returns
-    ("kernelize", "_reduced_sub"),        # the Turing route's subinstances
-    ("kernelize", "solve_via_turing"),
-    ("kernelize", "solve_via_isolated_clique"),
     ("classify", "join_factors"),         # the factors it returns
+    ("cli", "cmd_kernel"),                # the kernel's graph files
 }
 
 

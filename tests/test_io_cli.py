@@ -1,12 +1,14 @@
+import hashlib
 import random
 
 import pytest
 
 from hfree_mis.cli import main
 from hfree_mis.errors import InputFormatError
-from hfree_mis.graph import disjoint_union, random_graph
+from hfree_mis.graph import Graph, disjoint_union, random_graph
+from hfree_mis.induced import find_induced
 from hfree_mis.io import emit_graph, parse_graph
-from hfree_mis.patterns import complete, pattern
+from hfree_mis.patterns import clique_minus_star, complete, complete_multipartite, cycle, pattern
 
 
 def test_parse_k2():
@@ -192,3 +194,52 @@ def test_cli_solve_modes(tmp_path, capsys):
         out = capsys.readouterr().out
         assert f"method = {method}\n" in out
         assert "independent set of size 3: no" in out
+
+
+def _kernel_cli_inputs():
+    """(name, graph, family, r, ks): seeded inputs reaching every kernel
+    outcome the CLI prints: reduced and solved instances, emitted Turing
+    subinstances and passed-through ones, and violations."""
+    rng = random.Random(90)
+    for i in range(6):
+        yield f"sparse{i}", random_graph(rng.randrange(5, 20), rng.choice((0.1, 0.2, 0.4)), rng), \
+            "krfree", 3 + i % 2, (2, 3, 4, 5)
+    for i in range(6):
+        g = complete_multipartite([rng.randrange(1, 4) for _ in range(rng.randrange(2, 8))])
+        g = disjoint_union(g, complete_multipartite([rng.randrange(1, 4) for _ in range(3)]))
+        if i % 3:
+            g = disjoint_union(g, cycle(5))
+        yield f"multipartite{i}", g, "paw", 4 + i % 2, range(2, 9)
+    found = 0
+    while found < 6:
+        c, b = rng.randrange(26, 31), rng.randrange(2, 7)
+        edges = complete(c).edges()
+        for u in range(c, c + b):
+            miss = set(rng.sample(range(c), rng.choice((0, 1, 2))))
+            edges += [(u, x) for x in range(c) if x not in miss]
+            edges += [(u, w) for w in range(c, u) if rng.random() < 0.7]
+        g = Graph(c + b, edges)
+        if find_induced(g, clique_minus_star(5, 3)) is None:
+            found += 1
+            yield f"near-clique{found}", g, "turing", 5, (1, 2, 3, 4)
+    yield "c5", cycle(5), "turing", 5, (2, 3)
+
+
+# sha256 over the stdout, stderr and --output file of every run of
+# test_cli_kernel_output_is_pinned; recorded before the kernels named their
+# subgraphs by vertex masks
+CLI_KERNEL_DIGEST = "4090c19b26fa586fa6497564e1b858052924c1e2875d72e9381ad027e72c2b2e"
+
+
+def test_cli_kernel_output_is_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for name, g, family, r, ks in _kernel_cli_inputs():
+        path = _write_graph(tmp_path, g, f"{name}.txt")
+        for k in ks:
+            out_path = tmp_path / f"{name}-{k}.out"
+            code = main(["kernel", "--input", path, "--family", family, "--k", str(k),
+                         "--r", str(r), "--output", str(out_path)])
+            captured = capsys.readouterr()
+            written = out_path.read_text() if out_path.exists() else ""
+            digest.update(f"{name} {k} {code}\n{captured.out}{captured.err}{written}".encode())
+    assert digest.hexdigest() == CLI_KERNEL_DIGEST

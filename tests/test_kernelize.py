@@ -4,7 +4,7 @@ import pytest
 
 from hfree_mis import kernelize
 from hfree_mis.errors import BudgetExceededError, PatternViolationError
-from hfree_mis.graph import Graph, disjoint_union, random_graph
+from hfree_mis.graph import Graph, disjoint_union, mask_of, random_graph
 from hfree_mis.induced import find_induced
 from hfree_mis.kernelize import (
     kernel_krfree,
@@ -35,8 +35,8 @@ def test_krfree_solves_large_instances():
 
 def test_krfree_keeps_small_instances():
     res = kernel_krfree(cycle(5), 3, 3)
-    assert res.verdict == "reduced" and res.graph.n == 5
-    assert alpha_exact(res.graph).alpha == 2  # answer stays no
+    assert res.verdict == "reduced" and res.kept == cycle(5).full_mask
+    assert alpha_exact(cycle(5), mask=res.kept).alpha == 2  # answer stays no
 
 
 def test_krfree_two_c5():
@@ -56,7 +56,7 @@ def test_paw_kernel_multipartite_rule():
     g = complete_multipartite([2] * 8)
     res = kernel_paw_like(g, 3, 5)
     if res.verdict == "reduced":
-        assert alpha_exact(res.graph).alpha == 2
+        assert alpha_exact(g, mask=res.kept).alpha == 2
     else:
         assert res.verdict == "solved_no"
 
@@ -87,9 +87,10 @@ def test_paw_kernel_star_rule_fires_r5():
     a_before = alpha_exact(g).alpha
     res = kernel_paw_like(g, 2, 5)
     if res.verdict == "reduced":
-        deleted = g.n - res.graph.n
+        assert res.kept & ~g.full_mask == 0
+        deleted = g.n - res.kept.bit_count()
         assert deleted > 0
-        assert (alpha_exact(res.graph).alpha >= 2) == (a_before >= 2)
+        assert (alpha_exact(g, mask=res.kept).alpha >= 2) == (a_before >= 2)
     else:
         assert res.verdict == "solved_yes" or a_before < 2
 
@@ -106,10 +107,9 @@ def test_paw_kernel_answer_preservation_random():
             elif res.verdict == "solved_no":
                 assert a < k
             else:
-                assert (alpha_exact(res.graph).alpha >= k) == (a >= k)
-                # the reduced graph is an induced subgraph of the input
-                sub, _ = g.induced(sum(1 << v for v in res.kept_vertices))
-                assert sub == res.graph
+                # the reduced instance is the subgraph the input induces on a mask
+                assert res.kept & ~g.full_mask == 0
+                assert (alpha_exact(g, mask=res.kept).alpha >= k) == (a >= k)
 
 
 def test_paw_kernel_violation_on_lie():
@@ -127,6 +127,10 @@ def test_turing_connected_required():
     g = disjoint_union(complete(3), complete(3))
     with pytest.raises(ValueError):
         turing_kernel_star(g, 2, 5)
+    assert turing_kernel_star(g, 2, 5, 0b000111).subinstances == [(0b000111, 2)]
+    for mask in (0b1000111, -1):            # a seventh vertex; not a mask
+        with pytest.raises(ValueError):
+            turing_kernel_star(g, 2, 5, mask)
 
 
 def test_turing_small_instances_pass_through():
@@ -142,8 +146,9 @@ def test_turing_driver_component_sum():
 
 
 def test_turing_driver_violation_names_input_vertices():
-    """A violation found in a component's relabelled copy names vertices of
-    the input: here a K_26 with a two-vertex tail, after an edge."""
+    """A violation found in a component that is not the first names
+    vertices of the input: here a K_26 with a two-vertex tail, after an
+    edge."""
     clique = complete(26)
     tail = Graph(28, clique.edges() + [(26, v) for v in range(26)] + [(26, 27)])
     g = disjoint_union(complete(2), tail)
@@ -151,6 +156,36 @@ def test_turing_driver_violation_names_input_vertices():
         solve_via_turing(g, 3, 5)
     sub, _ = g.induced(sum(1 << v for v in err.value.vertices))
     assert find_induced(sub, clique_minus_star(5, 3)) is not None
+
+
+def _near_clique(rng):
+    """A clique of 26-30 vertices and 3-8 more vertices, each missing at
+    most two of it: the Turing kernel's emitting case when K5-K1,3-free."""
+    c, b = rng.randrange(26, 31), rng.randrange(3, 9)
+    edges = complete(c).edges()
+    for u in range(c, c + b):
+        miss = set(rng.sample(range(c), rng.choice((0, 1, 2))))
+        edges += [(u, x) for x in range(c) if x not in miss]
+        edges += [(u, w) for w in range(c, u) if rng.random() < 0.5]
+    return Graph(c + b, edges)
+
+
+def test_turing_violations_induce_the_pattern():
+    # a clique inside an emitted piece is reported with a vertex of the big
+    # clique and the vertex whose non-neighbourhood the piece is: together
+    # they induce K5-K1,3, not just the piece's triangle
+    h = clique_minus_star(5, 3)
+    rng = random.Random(12)
+    messages = set()
+    for _ in range(400):
+        g = _near_clique(rng)
+        for k in (2, 3, 4):
+            try:
+                turing_kernel_star(g, k, 5)
+            except PatternViolationError as exc:
+                messages.add(exc.message)
+                assert find_induced(g, h, mask=mask_of(exc.vertices)) is not None, exc
+    assert "emitted piece contains a large clique" in messages
 
 
 def test_turing_driver_oracle_equivalence():
@@ -168,12 +203,12 @@ def test_turing_subinstances_are_bounded():
                           densities=(0.1, 0.2))
     for g in graphs:
         for comp in g.connected_components():
-            sub, _ = g.induced(comp)
-            out = turing_kernel_star(sub, 4, 5)
-            for j_g, j_k in out.subinstances:
-                if j_g.n == sub.n:
+            out = turing_kernel_star(g, 4, 5, comp)
+            for j_mask, j_k in out.subinstances:
+                assert j_mask & ~comp == 0
+                if j_mask == comp:
                     continue  # passed-through small instance
-                assert j_g.n < ramsey_bound(3, max(j_k, 1)) or j_k <= 0
+                assert j_mask.bit_count() < ramsey_bound(3, max(j_k, 1)) or j_k <= 0
 
 
 def test_isolated_clique_route():
@@ -185,6 +220,24 @@ def test_isolated_clique_route():
         a = alpha_exact(g).alpha
         for k in range(1, 5):
             assert solve_via_isolated_clique(g, k, 4) == (a >= k)
+
+
+def test_isolated_clique_violation_names_input_vertices():
+    # a triangle in the guessed vertex's non-neighbourhood is reported with
+    # that vertex, as an induced K3+K1 of the input
+    h = disjoint_union(complete(3), complete(1))
+    rng = random.Random(3)
+    raised = 0
+    for _ in range(300):
+        g = random_graph(rng.randrange(6, 16), rng.choice((0.3, 0.5, 0.7)), rng)
+        for k in (2, 3, 4):
+            try:
+                solve_via_isolated_clique(g, k, 4)
+            except PatternViolationError as exc:
+                raised += 1
+                assert exc.pattern_name == "K3+K1"
+                assert find_induced(g, h, mask=mask_of(exc.vertices)) is not None, exc
+    assert raised >= 100
 
 
 def _oracle_nodes(monkeypatch, decide) -> list[int]:

@@ -4,7 +4,7 @@ import pytest
 
 from hfree_mis import oracle
 from hfree_mis.errors import BudgetExceededError, InternalCheckError
-from hfree_mis.graph import random_graph
+from hfree_mis.graph import mask_of, random_graph
 from hfree_mis.hardness import (
     brute_force_feasible,
     build_construction,
@@ -221,3 +221,54 @@ def test_constructions_end_within_few_nodes():
         while brute_force_feasible(gt) is not None:
             gt, _ = gen_grid_tiling(2, 5, 8, False, rng)
         assert construction_alpha_reaches(build_construction(gt, "second", 1), budget=20) is False
+
+
+def _masked_cases():
+    """Seeded graphs with an empty, a full and a random vertex mask each."""
+    rng = random.Random(12)
+    for _ in range(60):
+        g = random_graph(rng.randrange(0, 36), rng.choice((0.05, 0.15, 0.3, 0.6)), rng)
+        for mask in (0, g.full_mask, rng.getrandbits(g.n) if g.n else 0):
+            yield g, mask
+
+
+def test_mask_searches_the_induced_copy():
+    # the same tree as on the relabelled copy: alpha, witness and nodes
+    for g, mask in _masked_cases():
+        sub, kept = g.induced(mask)
+        copy = alpha_exact(sub)
+        res = alpha_exact(g, mask=mask)
+        assert res.witness == tuple(kept[v] for v in copy.witness)
+        assert (res.alpha, res.nodes_used) == (copy.alpha, copy.nodes_used)
+        assert mask_of(res.witness) & ~mask == 0
+
+
+def test_mask_runs_out_at_the_copys_budget():
+    checked = 0
+    for g, mask in _masked_cases():
+        sub, _ = g.induced(mask)
+        nodes = alpha_exact(sub).nodes_used
+        if nodes < 2:
+            continue
+        checked += 1
+        for route in (lambda b: alpha_exact(sub, b), lambda b: alpha_exact(g, b, mask=mask)):
+            with pytest.raises(BudgetExceededError):
+                route(nodes - 1)
+            assert route(nodes).nodes_used == nodes
+    assert checked >= 20
+
+
+def test_bad_mask_inputs_raise_value_error():
+    g = cycle(5)
+    mask = 0b00111                                   # the path 0-1-2
+    for bad in (0b100000, -1):                       # a sixth vertex; not a mask
+        with pytest.raises(ValueError):
+            alpha_exact(g, mask=bad)
+    for cover in ([0b00011, 0b01100, 0b10000],       # covers V, not the mask
+                  [0b00011]):                        # misses vertex 2
+        with pytest.raises(ValueError):
+            alpha_exact(g, mask=mask, cover=cover)
+    with pytest.raises(ValueError):
+        alpha_exact(g, mask=mask, floor=0b01000)     # vertex 3 is outside the mask
+    res = alpha_exact(g, mask=mask, cover=[0b00011, 0b00100], floor=0b00001)
+    assert res.alpha == 2 and res.witness == (0, 2)
