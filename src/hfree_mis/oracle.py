@@ -44,10 +44,15 @@ class AlphaResult:
     nodes_used: int
 
 
-def greedy_clique_cover(g: Graph, order: list[int] | None = None) -> list[int]:
-    """Partition of V into cliques (as masks), greedily by descending degree."""
+def greedy_clique_cover(g: Graph, order: list[int] | None = None,
+                        mask: int | None = None) -> list[int]:
+    """Partition of ``mask`` (default: V) into cliques (as masks), greedily by
+    descending degree inside the mask, ties to the lower index, unless
+    ``order`` gives the vertices in another order."""
     if order is None:
-        order = sorted(range(g.n), key=g.degree, reverse=True)
+        adj = g.adj
+        cands = g.full_mask if mask is None else mask
+        order = sorted(bits(cands), key=lambda v: (adj[v] & cands).bit_count(), reverse=True)
     classes: list[int] = []
     for v in order:
         bit = 1 << v
@@ -89,11 +94,10 @@ def alpha_exact(g: Graph, budget: int = DEFAULT_BUDGET, cover: list[int] | None 
     a clique or the classes do not cover exactly the mask, or the floor is
     not an independent set inside the mask.
     """
-    whole = mask is None
     mask = g.vertex_mask(mask)
     cover = _checked_cover(g, cover, mask)
     if floor is None:
-        floor = greedy_independent_set(g) if whole else greedy_independent_set(g, mask)
+        floor = greedy_independent_set(g, mask)
     elif floor < 0 or floor & ~mask or not g.is_independent_mask(floor):
         raise ValueError(f"floor {floor:#x} is not an independent set of the vertices searched")
     if not mask:
@@ -122,11 +126,7 @@ def _checked_cover(g: Graph, cover: list[int] | None, mask: int) -> list[int]:
     """The greedy cover of G[mask] when none is supplied; else ``cover`` once
     each class is known to be a clique and their union to be the mask."""
     if cover is None:
-        if mask == g.full_mask:
-            return greedy_clique_cover(g)
-        adj = g.adj
-        return greedy_clique_cover(g, sorted(bits(mask), key=lambda v: (adj[v] & mask).bit_count(),
-                                             reverse=True))
+        return greedy_clique_cover(g, mask=mask)
     union = 0
     for cls in cover:
         union |= cls
@@ -158,7 +158,6 @@ def _search(g: Graph, cover: list[int], mask: int, best_mask: int, best: int, ta
     node hands on None.
     """
     adj = g.adj
-    closed = [row | 1 << v for v, row in enumerate(adj)]
     nodes = 0
 
     def common_of(part: int) -> int:
@@ -228,19 +227,21 @@ def _search(g: Graph, cover: list[int], mask: int, best_mask: int, best: int, ta
                     commons[i] = common = common_of(part)
                     dead |= common
                 dead &= cands
-        # branch on the sparsest live class: one subtree per member, plus skip
+        # branch on the sparsest live class: one subtree per member, plus skip;
+        # the class is a clique through v, so skip & ~adj[v] is cands - N[v]
         cls = min(live, key=int.bit_count)
+        skip = cands & ~cls
         if commons is None:
             for v in bits(cls):
-                search(live, None, cands & ~closed[v], chosen | 1 << v, count + 1)
+                search(live, None, skip & ~adj[v], chosen | 1 << v, count + 1)
         else:
             # each member's child drops this part; it dies if it drops another
             i = live.index(cls)
             rest, rest_commons = live[:i] + live[i + 1:], commons[:i] + commons[i + 1:]
             for v in bits(cls):
-                search(rest, rest_commons, cands & ~closed[v], chosen | 1 << v, count + 1)
+                search(rest, rest_commons, skip & ~adj[v], chosen | 1 << v, count + 1)
         if count + len(live) - 1 > best:
-            search(live, None, cands & ~cls, chosen, count)
+            search(live, None, skip, chosen, count)
 
     try:
         search(cover, None, mask, 0, 0)

@@ -6,7 +6,7 @@ import random
 
 from hfree_mis.graph import Graph, random_graph
 from hfree_mis.induced import find_induced
-from hfree_mis.patterns import HPattern
+from hfree_mis.patterns import HPattern, complete
 
 
 def random_graphs(count: int, max_n: int, seed: int, densities=(0.15, 0.3, 0.5, 0.7)):
@@ -29,6 +29,19 @@ def sample_hfree(pattern: HPattern | Graph, count: int, max_n: int, seed: int,
         if find_induced(g, pattern) is None:
             out.append(g)
     return out
+
+
+def near_clique(rng: random.Random, extra: tuple[int, int], p: float) -> Graph:
+    """A clique of 26-30 vertices and ``randrange(*extra)`` more vertices,
+    each missing at most two of it and adjacent to each earlier extra vertex
+    with probability p: the Turing kernel's emitting case when K5-K1,3-free."""
+    c, b = rng.randrange(26, 31), rng.randrange(*extra)
+    edges = complete(c).edges()
+    for u in range(c, c + b):
+        miss = set(rng.sample(range(c), rng.choice((0, 1, 2))))
+        edges += [(u, x) for x in range(c) if x not in miss]
+        edges += [(u, w) for w in range(c, u) if rng.random() < p]
+    return Graph(c + b, edges)
 
 
 def check_yes_witness(g: Graph, out, k: int) -> None:

@@ -5,10 +5,12 @@ import pytest
 
 from hfree_mis.cli import main
 from hfree_mis.errors import InputFormatError
-from hfree_mis.graph import Graph, disjoint_union, random_graph
+from hfree_mis.graph import disjoint_union, random_graph
 from hfree_mis.induced import find_induced
 from hfree_mis.io import emit_graph, parse_graph
 from hfree_mis.patterns import clique_minus_star, complete, complete_multipartite, cycle, pattern
+
+from helpers import near_clique
 
 
 def test_parse_k2():
@@ -212,13 +214,7 @@ def _kernel_cli_inputs():
         yield f"multipartite{i}", g, "paw", 4 + i % 2, range(2, 9)
     found = 0
     while found < 6:
-        c, b = rng.randrange(26, 31), rng.randrange(2, 7)
-        edges = complete(c).edges()
-        for u in range(c, c + b):
-            miss = set(rng.sample(range(c), rng.choice((0, 1, 2))))
-            edges += [(u, x) for x in range(c) if x not in miss]
-            edges += [(u, w) for w in range(c, u) if rng.random() < 0.7]
-        g = Graph(c + b, edges)
+        g = near_clique(rng, (2, 7), 0.7)
         if find_induced(g, clique_minus_star(5, 3)) is None:
             found += 1
             yield f"near-clique{found}", g, "turing", 5, (1, 2, 3, 4)

@@ -25,7 +25,7 @@ from hfree_mis.patterns import (
 )
 from hfree_mis.ramsey import ramsey_bound
 
-from helpers import sample_hfree
+from helpers import near_clique, sample_hfree
 
 
 def test_krfree_solves_large_instances():
@@ -158,18 +158,6 @@ def test_turing_driver_violation_names_input_vertices():
     assert find_induced(sub, clique_minus_star(5, 3)) is not None
 
 
-def _near_clique(rng):
-    """A clique of 26-30 vertices and 3-8 more vertices, each missing at
-    most two of it: the Turing kernel's emitting case when K5-K1,3-free."""
-    c, b = rng.randrange(26, 31), rng.randrange(3, 9)
-    edges = complete(c).edges()
-    for u in range(c, c + b):
-        miss = set(rng.sample(range(c), rng.choice((0, 1, 2))))
-        edges += [(u, x) for x in range(c) if x not in miss]
-        edges += [(u, w) for w in range(c, u) if rng.random() < 0.5]
-    return Graph(c + b, edges)
-
-
 def test_turing_violations_induce_the_pattern():
     # a clique inside an emitted piece is reported with a vertex of the big
     # clique and the vertex whose non-neighbourhood the piece is: together
@@ -178,7 +166,7 @@ def test_turing_violations_induce_the_pattern():
     rng = random.Random(12)
     messages = set()
     for _ in range(400):
-        g = _near_clique(rng)
+        g = near_clique(rng, (3, 9), 0.5)
         for k in (2, 3, 4):
             try:
                 turing_kernel_star(g, k, 5)

@@ -83,7 +83,7 @@ def test_supplied_cover_gives_same_answer():
 
 def test_non_independent_witness_raises_internal_check(monkeypatch):
     # a corrupt initial bound that no search can beat reaches the final check
-    monkeypatch.setattr(oracle, "greedy_independent_set", lambda g: g.full_mask)
+    monkeypatch.setattr(oracle, "greedy_independent_set", lambda g, mask=None: g.full_mask)
     with pytest.raises(InternalCheckError):
         oracle.alpha_exact(cycle(5))
 
