@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, bits, complement, mask_of
+from .graph import Graph, bits, mask_of
 from .induced import find_induced
 from .patterns import (
     HPattern,
@@ -80,23 +80,13 @@ def _partitions_into_cliques(h: Graph):
     (every block is anchored at its smallest vertex)."""
 
     def clique_blocks_with(vi: int, cands: int):
-        others = list(bits(cands))
-        m = len(others)
-        for sel in range(1 << m):
-            chosen = [others[i] for i in range(m) if sel >> i & 1]
-            ok = True
-            for i, a in enumerate(chosen):
-                for b in chosen[i + 1:]:
-                    if not h.has_edge(a, b):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                block = 1 << vi
-                for a in chosen:
-                    block |= 1 << a
-                yield block
+        sub = 0
+        while True:  # the subsets of cands in increasing order
+            if h.is_clique_mask(sub):
+                yield sub | 1 << vi
+            sub = (sub - cands) & cands
+            if not sub:
+                return
 
     def rec(rest: int):
         if rest == 0:
@@ -245,8 +235,7 @@ def join_factors(h: HPattern | Graph) -> list[Graph]:
     """Factors of the maximal join decomposition: the subgraphs induced on
     the connected components of the complement."""
     hg = h.graph if isinstance(h, HPattern) else h
-    co = complement(hg)
-    return [hg.induced(comp)[0] for comp in co.connected_components()]
+    return [hg.induced(comp)[0] for comp in hg.co_components()]
 
 
 def is_path_graph(g: Graph) -> bool:

@@ -85,15 +85,25 @@ def cmd_kernel(args) -> int:
     elif args.family == "paw":
         res = kernel_paw_like(g, args.k, args.r)
     elif args.family == "turing":
-        out = turing_kernel_star(g, args.k, args.r)
-        print(f"subinstances = {len(out.subinstances)} (combined by disjunction)")
-        for note in out.notes:
-            print(f"note: {note}")
+        comps = g.connected_components()
+        runs = [("", None, args.k)]
+        if len(comps) > 1:
+            # as solve_via_turing decides it: per component, one run per target
+            print(f"components = {len(comps)} (each answers its largest target with a yes "
+                  f"subinstance; yes iff the answers sum to at least k)")
+            runs = [(f"component {c} target {i}: ", comp, i)
+                    for c, comp in enumerate(comps) for i in range(1, args.k + 1)]
+        parts = []
+        for prefix, mask, k in runs:
+            out = turing_kernel_star(g, k, args.r, mask)
+            print(f"{prefix}subinstances = {len(out.subinstances)} (combined by disjunction)")
+            for note in out.notes:
+                print(f"{prefix}note: {note}")
+            if args.output:
+                for idx, (sub_mask, kk) in enumerate(out.subinstances):
+                    sub, _kept = g.induced(sub_mask)
+                    parts.append(emit_graph(sub, comments=(f"{prefix}subinstance {idx} parameter {kk}",)))
         if args.output:
-            parts = []
-            for idx, (mask, kk) in enumerate(out.subinstances):
-                sub, _kept = g.induced(mask)
-                parts.append(emit_graph(sub, comments=(f"subinstance {idx} parameter {kk}",)))
             _write(args.output, "".join(parts))
         return 0
     else:

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalCheckError, PatternViolationError
-from .graph import Graph, bits
+from .graph import Graph, bits, mask_of
+from .oracle import enumerate_independent_sets
 from .ramsey import ramsey_bound, _extract
 
 
@@ -55,12 +56,6 @@ def solve_cluster_free(g: Graph, k: int, r: int, q: int, mask: int | None = None
             out |= 1 << v
         return out
 
-    def neighbors_of_set(s: int) -> int:
-        out = 0
-        for v in bits(s):
-            out |= g.adj[v]
-        return out
-
     def extend(cur: int, rest: int, depth: int, added: set[int]) -> None:
         nonlocal insertions
         insertions += 1
@@ -82,19 +77,11 @@ def solve_cluster_free(g: Graph, k: int, r: int, q: int, mask: int | None = None
     def enumerate_all(mask: int) -> list[int]:
         nonlocal insertions
         fam: list[int] = []
-
-        def rec(cur: int, cands: int):
-            nonlocal insertions
+        for cur in enumerate_independent_sets(g, mask):
             insertions += 1
             if cur.bit_count() >= k:
                 raise _Found(cur)
             fam.append(cur)
-            rest = cands
-            for v in bits(cands):
-                rest &= ~(1 << v)
-                rec(cur | (1 << v), rest & ~g.adj[v])
-
-        rec(0, mask)
         return fam
 
     def solve(mask: int, qq: int, outer: tuple[tuple[int, ...], ...]) -> list[int]:
@@ -118,11 +105,9 @@ def solve_cluster_free(g: Graph, k: int, r: int, q: int, mask: int | None = None
         fam_out: set[int] = set()
         anchors: list[tuple[tuple[int, ...], int]] = [((), mask)]
         for clique in g.cliques(mask, r):
-            c = clique[0]
-            forbidden = 0
-            for w in clique:
-                forbidden |= g.closed_neighborhood(w)
-            v1 = mask & ~((1 << (c + 1)) - 1) & ~forbidden
+            # above the clique's smallest vertex, and seeing none of it (its
+            # other vertices are neighbours of the smallest)
+            v1 = mask & ~((1 << (clique[0] + 1)) - 1) & ~g.neighborhood(mask_of(clique))
             anchors.append((clique, v1))
 
         for clique, region in anchors:
@@ -133,7 +118,7 @@ def solve_cluster_free(g: Graph, k: int, r: int, q: int, mask: int | None = None
                 sub_fam = [0]  # seedless run: extend the empty set over all of mask
                 base = mask
             for s1 in sub_fam:
-                v2 = base & ~neighbors_of_set(s1) & ~s1
+                v2 = base & ~g.neighborhood(s1) & ~s1
                 extend(s1, v2, k, fam_out)
         fam = sorted(fam_out)
         memo[key] = fam

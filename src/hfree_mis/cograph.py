@@ -1,15 +1,18 @@
 """Cograph (P4-free) tools via complement-components recursion.
 
 Cographs are exactly the graphs whose every induced subgraph on >= 2
-vertices is disconnected or has a disconnected complement; alpha and a
-minimum clique cover fall out of the same recursion.  Cographs are perfect,
-so the cover size equals alpha; every call checks that.
+vertices is disconnected or has a disconnected complement (Corneil, Lerchs
+& Stewart Burlingham, DAM 1981); alpha and a minimum clique cover fall out
+of the same recursion.  Each step splits a vertex mask with
+``Graph.connected_components`` or ``Graph.co_components``, so no
+complement is ever built.  Cographs are perfect, so the cover size equals
+alpha; every call checks that.
 """
 
 from __future__ import annotations
 
 from .errors import InternalCheckError, PatternViolationError
-from .graph import Graph, bits, complement
+from .graph import Graph, bits
 
 
 def find_p4(g: Graph, mask: int | None = None) -> tuple[int, ...] | None:
@@ -28,13 +31,8 @@ def find_p4(g: Graph, mask: int | None = None) -> tuple[int, ...] | None:
     return None
 
 
-def is_p4_free(g: Graph, mask: int | None = None) -> bool:
-    return find_p4(g, mask) is None
-
-
-def _cotree_split(g: Graph, co: Graph, mask: int) -> tuple[str, list[int]]:
-    """Split a vertex mask into union parts or join parts; ``co`` is the
-    complement of ``g``.
+def _cotree_split(g: Graph, mask: int) -> tuple[str, list[int]]:
+    """Split a vertex mask into union parts or join parts.
 
     Returns ("union", comps) when g[mask] is disconnected, ("join", comps)
     when its complement is disconnected, and raises otherwise (not a
@@ -43,7 +41,7 @@ def _cotree_split(g: Graph, co: Graph, mask: int) -> tuple[str, list[int]]:
     comps = g.connected_components(mask)
     if len(comps) > 1:
         return "union", comps
-    co_comps = co.connected_components(mask)
+    co_comps = g.co_components(mask)
     if len(co_comps) > 1:
         return "join", co_comps
     p4 = find_p4(g, mask)
@@ -63,12 +61,11 @@ def cograph_decompose(g: Graph, mask: int | None = None) -> tuple[int, int, list
     """
     if mask is None:
         mask = g.full_mask
-    co = complement(g)
 
     def rec(m: int) -> tuple[int, int, list[int]]:
         if m.bit_count() <= 1:
             return m.bit_count(), m, [m] if m else []
-        kind, parts = _cotree_split(g, co, m)
+        kind, parts = _cotree_split(g, m)
         subs = [rec(p) for p in parts]
         if kind == "union":
             total, wit, cover = 0, 0, []

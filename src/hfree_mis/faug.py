@@ -389,9 +389,7 @@ def solve_faug_gem(
 def _adjacent_pairs(g: Graph, parts: list[int]) -> list[tuple[int, int]]:
     out = []
     for i in range(len(parts)):
-        ni = 0
-        for v in bits(parts[i]):
-            ni |= g.adj[v]
+        ni = g.neighborhood(parts[i])
         for j in range(i + 1, len(parts)):
             if ni & parts[j]:
                 out.append((i, j))
@@ -431,7 +429,7 @@ def _gem_branching(g: Graph, k: int, parts: list[int], inst: FaugInstance,
         else:
             classes[na] = classes.get(na, 0) | (1 << a)
     matched = sorted(classes.items())
-    zero_j = parts[j] & ~mask_of(v for na, _ in matched for v in bits(na))
+    zero_j = parts[j] & ~g.neighborhood(parts[i])
 
     branches = []
     branches.append([parts[x] if x != i else zero_i for x in range(k)])

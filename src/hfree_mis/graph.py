@@ -4,9 +4,12 @@ A vertex set is an int whose bit i is vertex i.  All operations treat graphs
 as immutable: mutators return new graphs, so instances are safe to share
 across threads.  The two searches the algorithms keep coming back to work
 on a vertex mask of the graph, with no relabelled copy:
-``Graph.connected_components(mask)`` and the clique searches
-``Graph.cliques(mask, r)`` and ``Graph.max_clique(mask)``.  Entries that
-take a caller's mask check it with ``Graph.vertex_mask``.
+``Graph.connected_components(mask)``, its complement-side twin
+``Graph.co_components(mask)`` (the components of the complement of
+G[mask], found without building the complement), the clique searches
+``Graph.cliques(mask, r)`` and ``Graph.max_clique(mask)``, and the
+neighbourhood union ``Graph.neighborhood(mask)``.  Entries that take a
+caller's mask check it with ``Graph.vertex_mask``.
 """
 
 from __future__ import annotations
@@ -86,11 +89,19 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(bits(self.adj[v]))
-
     def closed_neighborhood(self, v: int) -> int:
         return self.adj[v] | (1 << v)
+
+    def neighborhood(self, mask: int) -> int:
+        """The union of the rows of ``mask``: every vertex with a neighbour
+        in it (members of ``mask`` included when they have one there)."""
+        adj = self.adj
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= adj[low.bit_length() - 1]
+            mask ^= low
+        return out
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
@@ -166,18 +177,34 @@ class Graph:
         graph), in order of their smallest member."""
         if mask is None:
             mask = (1 << self.n) - 1
-        adj = self.adj
         comps = []
         while mask:
             comp = frontier = mask & -mask
             while frontier:
-                nxt = 0
-                while frontier:
-                    low = frontier & -frontier
-                    nxt |= adj[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = nxt & mask & ~comp
+                frontier = self.neighborhood(frontier) & mask & ~comp
                 comp |= frontier
+            comps.append(comp)
+            mask &= ~comp
+        return comps
+
+    def co_components(self, mask: int | None = None) -> list[int]:
+        """Vertex masks of the components of the complement of G[mask]
+        (default: the whole graph), in order of their smallest member; the
+        complement is never built."""
+        if mask is None:
+            mask = (1 << self.n) - 1
+        adj = self.adj
+        comps = []
+        while mask:
+            comp = frontier = mask & -mask
+            rest = mask ^ comp
+            while frontier and rest:
+                low = frontier & -frontier
+                frontier ^= low
+                reach = rest & ~adj[low.bit_length() - 1]
+                rest ^= reach
+                frontier |= reach
+                comp |= reach
             comps.append(comp)
             mask &= ~comp
         return comps

@@ -159,8 +159,9 @@ def _component_passes(g: Graph, alive: int, k: int, r: int, trace: list[str]):
         trace.append("k components")
         return None, KernelResult("solved_yes", wit, trace=list(trace))
     for comp in comps:
-        parts = _complete_multipartite_parts(g, comp)
-        if parts is not None and len(parts) >= 2:
+        # complete multipartite: its co-components, the parts, are independent
+        parts = g.co_components(comp)
+        if len(parts) >= 2 and all(map(g.is_independent_mask, parts)):
             largest = max(parts, key=int.bit_count)
             drop = comp & ~largest
             if drop:
@@ -188,10 +189,7 @@ def _star_kernel_rule(g: Graph, alive: int, r: int, q: int, clique: int,
     """One application of the part-deletion rule around a maximal clique of
     G[alive], with all structural prerequisites verified; the kept mask, or
     None when inapplicable."""
-    neighborhood = 0
-    for v in bits(clique):
-        neighborhood |= g.adj[v]
-    neighborhood &= alive & ~clique
+    neighborhood = g.neighborhood(clique) & alive & ~clique
     b_mask = 0
     csize = clique.bit_count()
     for u in bits(neighborhood):
@@ -229,26 +227,6 @@ def _star_kernel_rule(g: Graph, alive: int, r: int, q: int, clique: int,
         return None
     trace.append(f"deleted {drop.bit_count()} vertices beyond the {q} largest parts")
     return alive & ~drop
-
-
-def _complete_multipartite_parts(g: Graph, comp: int) -> list[int] | None:
-    """Parts of g[comp] when it is complete multipartite (co-cluster)."""
-    parts = []
-    rest = comp
-    while rest:
-        v = next(bits(rest))
-        part = comp & ~g.adj[v]
-        for u in bits(part):
-            if (comp & ~g.adj[u] & ~(1 << u)) != (part & ~(1 << u)):
-                return None
-        parts.append(part)
-        rest &= ~part
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            for u in bits(parts[i]):
-                if parts[j] & ~g.adj[u]:
-                    return None
-    return parts
 
 
 # -- Turing kernel for a clique with a pendant vertex -------------------------
@@ -293,10 +271,7 @@ def turing_kernel_star(g: Graph, k: int, r: int, mask: int | None = None) -> Tur
     if csize <= r * r:
         return TuringKernelOutput([(mask, k)], notes=["small instance (bounded clique)"])
 
-    b_mask = 0
-    for v in bits(clique):
-        b_mask |= g.adj[v]
-    b_mask &= mask & ~clique
+    b_mask = g.neighborhood(clique) & mask & ~clique
     for u in bits(b_mask):
         if (g.adj[u] & clique).bit_count() < csize - (r - 3):
             nbr = next(bits(g.adj[u] & clique))

@@ -2,7 +2,8 @@
 
 ``pattern(name)`` builds the named graphs; ``recognize_family`` maps an
 arbitrary small graph onto the solver-supported parameterized families by
-inspecting its complement.
+inspecting its complement through ``Graph.co_components``, with no
+complement built.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .graph import Graph, bits, complement, disjoint_union, join
+from .graph import Graph, disjoint_union, join
 
 PATTERN_CAP = 10
 
@@ -210,24 +211,6 @@ def cluster_params(g: Graph) -> tuple[int, int]:
     return max(c.bit_count() for c in comps), len(comps)
 
 
-def _complete_bipartite_sides(g: Graph, mask: int) -> tuple[int, int] | None:
-    """If g[mask] is a complete bipartite graph with both sides non-empty,
-    return the two side masks."""
-    vs = list(bits(mask))
-    v0 = vs[0]
-    side_a = mask & ~g.adj[v0]
-    side_b = mask & g.adj[v0]
-    if not side_b:
-        return None
-    for v in bits(side_a):
-        if (g.adj[v] & mask) != side_b:
-            return None
-    for v in bits(side_b):
-        if (g.adj[v] & mask) != side_a:
-            return None
-    return side_a, side_b
-
-
 def recognize_family(h: Graph) -> FamilyMatch | None:
     """Map H onto a solver-supported family, or None.
 
@@ -247,21 +230,23 @@ def recognize_family(h: Graph) -> FamilyMatch | None:
 
     if h.n == 5 and is_isomorphic(h, _FIXED["gem"]()):
         return FamilyMatch("gem")
-    co = complement(h)
-    comps = [c for c in co.connected_components() if c.bit_count() >= 2]
+    # the edges H misses from K_r lie inside its one co-component of two or
+    # more vertices: a removed clique is independent in H, and a removed
+    # complete bipartite graph leaves two disjoint cliques
+    comps = [c for c in h.co_components() if c.bit_count() >= 2]
     if len(comps) != 1:
         return None
     comp = comps[0]
     r = h.n
-    if co.is_clique_mask(comp):
+    if h.is_independent_mask(comp):
         s = comp.bit_count()
         if s < r:
             return FamilyMatch("clique_minus_clique", (r, s))
         return None
-    sides = _complete_bipartite_sides(co, comp)
-    if sides is None:
+    sides = h.connected_components(comp)
+    if len(sides) != 2 or not all(map(h.is_clique_mask, sides)):
         return None
-    s1, s2 = sorted((sides[0].bit_count(), sides[1].bit_count()))
+    s1, s2 = sorted(side.bit_count() for side in sides)
     if s1 + s2 == r:
         return None  # H would be a disconnected cluster, handled above
     return FamilyMatch("clique_minus_bipartite", (r, s1, s2))

@@ -1,7 +1,9 @@
 """Soundness checks are explicit raises, so they survive ``python -O``,
 vertex subsets are masks of the graph at hand, not relabelled copies (the
 kernels and the Turing drivers included; copies are made only at the three
-sites of ``RELABELLING_SITES``), and every budget defaults to
+sites of ``RELABELLING_SITES``), a complement is read through
+``Graph.co_components`` rather than built (``complement`` is called only at
+the site of ``COMPLEMENT_SITES``), and every budget defaults to
 ``oracle.DEFAULT_BUDGET``."""
 
 import ast
@@ -32,26 +34,44 @@ RELABELLING_SITES = {
 }
 
 
-def _induced_calls(tree: ast.AST):
-    """(enclosing function name, line) of every ``<graph>.induced(...)``."""
+# (module, enclosing function) allowed to build a whole complement: the
+# pattern search's dense order reads every complement row of H
+COMPLEMENT_SITES = {
+    ("induced", "_plan"),
+}
+
+
+def _calls(tree: ast.AST, name: str):
+    """(enclosing function name, line) of every call of ``name``, as a
+    method (``<graph>.name(...)``) or a plain function."""
     def walk(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "induced"):
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "attr", None),
+                                                   getattr(node.func, "id", None)):
             yield func, node.lineno
         for child in ast.iter_child_nodes(node):
             yield from walk(child, func)
     return walk(tree, None)
 
 
-def test_relabelling_sites():
+def _calls_outside(name: str, sites: set[tuple[str, str]]) -> list[str]:
     found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{line} in {func}" for func, line in _induced_calls(tree)
-                  if (path.stem, func) not in RELABELLING_SITES]
+        found += [f"{path.name}:{line} in {func}" for func, line in _calls(tree, name)
+                  if (path.stem, func) not in sites]
+    return found
+
+
+def test_relabelling_sites():
+    found = _calls_outside("induced", RELABELLING_SITES)
     assert found == [], f"relabelled copies outside the allowed sites: {found}"
+
+
+def test_complement_sites():
+    found = _calls_outside("complement", COMPLEMENT_SITES)
+    assert found == [], f"complements built outside the allowed sites: {found}"
 
 
 def test_internal_check_survives_optimize_flag():

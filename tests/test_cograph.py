@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hfree_mis import cograph
-from hfree_mis.cograph import cograph_alpha, cograph_decompose, find_p4, is_p4_free, random_cograph
+from hfree_mis.cograph import cograph_alpha, cograph_decompose, find_p4, random_cograph
 from hfree_mis.errors import InternalCheckError, PatternViolationError
 from hfree_mis.graph import mask_of
 from hfree_mis.oracle import alpha_exact
@@ -11,7 +11,7 @@ from hfree_mis.patterns import complete_bipartite, path, pattern
 
 
 def test_p4_detected():
-    assert not is_p4_free(path(4))
+    assert find_p4(path(4)) is not None
     a, b, c, d = find_p4(path(4))
     g = path(4)
     assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d)
@@ -38,7 +38,7 @@ def test_random_cographs_match_oracle():
         g = random_cograph(rng.randrange(1, 5), rng)
         if g.n > 14:
             continue
-        assert is_p4_free(g)
+        assert find_p4(g) is None
         alpha, wit = cograph_alpha(g)
         assert alpha == alpha_exact(g).alpha
         _, _, cover = cograph_decompose(g)
@@ -68,8 +68,8 @@ def test_cover_that_misses_vertices_raises_internal_check(monkeypatch):
     that the cover no longer bounds alpha."""
     split = cograph._cotree_split
 
-    def drop_last_component(g, co, m):
-        kind, parts = split(g, co, m)
+    def drop_last_component(g, m):
+        kind, parts = split(g, m)
         return kind, parts[:-1] if kind == "union" else parts
     monkeypatch.setattr(cograph, "_cotree_split", drop_last_component)
     with pytest.raises(InternalCheckError):

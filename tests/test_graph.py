@@ -104,6 +104,36 @@ def test_components_partition_vertices():
             assert best & ~mask == 0 and is_clique[best] and best.bit_count() == omega[mask]
 
 
+def _masks(g, rng):
+    yield None
+    yield 0
+    yield g.full_mask
+    for _ in range(4):
+        yield rng.getrandbits(g.n)
+
+
+def test_co_components_are_the_complements_components():
+    rng = random.Random(41)
+    for _ in range(150):
+        g = random_graph(rng.randrange(0, 41), rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)), rng)
+        co = complement(g)
+        for mask in _masks(g, rng):
+            assert g.co_components(mask) == co.connected_components(mask)
+
+
+def test_neighborhood_is_the_union_of_rows():
+    rng = random.Random(42)
+    for _ in range(150):
+        g = random_graph(rng.randrange(0, 41), rng.choice((0.1, 0.3, 0.5)), rng)
+        for mask in _masks(g, rng):
+            mask = g.vertex_mask(mask)
+            union = 0
+            for v in range(g.n):
+                if mask >> v & 1:
+                    union |= g.adj[v]
+            assert g.neighborhood(mask) == union
+
+
 def test_induced_subgraph_keeps_edges():
     g = pattern("C5").graph
     sub, kept = g.induced(mask_of([0, 1, 3]))

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from hfree_mis.errors import InputFormatError
 from hfree_mis.graph import disjoint_union, random_graph
 from hfree_mis.induced import find_induced
 from hfree_mis.io import emit_graph, parse_graph
+from hfree_mis.oracle import alpha_exact
 from hfree_mis.patterns import clique_minus_star, complete, complete_multipartite, cycle, pattern
 
 from helpers import near_clique
@@ -239,3 +241,37 @@ def test_cli_kernel_output_is_pinned(tmp_path, capsys):
             written = out_path.read_text() if out_path.exists() else ""
             digest.update(f"{name} {k} {code}\n{captured.out}{captured.err}{written}".encode())
     assert digest.hexdigest() == CLI_KERNEL_DIGEST
+
+
+def test_cli_turing_kernel_runs_per_component(tmp_path, capsys):
+    """A disconnected input is kernelized per component and per target
+    1..k, with every printed line and written piece headed by its component
+    and target; a component answers its largest target with a yes piece,
+    which is its alpha capped at k."""
+    rng = random.Random(91)
+    core = near_clique(rng, (2, 7), 0.7)
+    while find_induced(core, clique_minus_star(5, 3)) is not None:
+        core = near_clique(rng, (2, 7), 0.7)
+    g = disjoint_union(disjoint_union(core, cycle(5)), complete(3))
+    comps = g.connected_components()
+    alphas = [alpha_exact(g, mask=c).alpha for c in comps]
+    path = _write_graph(tmp_path, g)
+    for k in (sum(alphas), sum(alphas) + 1):
+        out_path = tmp_path / f"pieces-{k}.txt"
+        assert main(["kernel", "--input", path, "--family", "turing", "--k", str(k),
+                     "--r", "5", "--output", str(out_path)]) == 0
+        printed = dict(re.findall(r"(?m)^(component \d+ target \d+): subinstances = (\d+)",
+                                  capsys.readouterr().out))
+        assert list(printed) == [f"component {c} target {i}"
+                                 for c in range(len(comps)) for i in range(1, k + 1)]
+        yes = {head: False for head in printed}
+        counts = dict.fromkeys(printed, 0)
+        for piece in re.split(r"(?m)^(?=c component)", out_path.read_text())[1:]:
+            head, kk = re.match(r"c (component \d+ target \d+): subinstance \d+ "
+                                r"parameter (\d+)", piece).groups()
+            counts[head] += 1
+            yes[head] |= alpha_exact(parse_graph(piece)).alpha >= int(kk)
+        assert counts == {head: int(n) for head, n in printed.items()}
+        for c, alpha in enumerate(alphas):
+            answers = [i for i in range(1, k + 1) if yes[f"component {c} target {i}"]]
+            assert answers == list(range(1, min(alpha, k) + 1))

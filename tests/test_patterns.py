@@ -1,6 +1,12 @@
+import hashlib
+import random
+from itertools import combinations
+
 import pytest
 
-from hfree_mis.graph import complement, disjoint_union
+from hfree_mis.classify import join_factors
+
+from hfree_mis.graph import Graph, complement, disjoint_union, random_graph
 from hfree_mis.induced import is_isomorphic
 from hfree_mis.patterns import (
     HPattern,
@@ -73,3 +79,24 @@ def test_recognize_families():
     # a disconnected cluster stays a cluster even when its complement is a star
     m = recognize_family(disjoint_union(complete(4), complete(1)))
     assert m.kind == "cluster" and m.params == (4, 2)
+
+
+# sha256 over the records of test_family_recognition_is_pinned, recorded
+# while both functions still built H's complement
+PINNED_FAMILIES = "8bd95416aefddf17b881e09f1e967208249eb5e5310739ea7affd1c4088cb442"
+
+
+def test_family_recognition_is_pinned():
+    """recognize_family and join_factors on every labelled graph with at
+    most five vertices and on 3,000 seeded graphs with 6-8 vertices."""
+    graphs = [Graph(n, [e for i, e in enumerate(combinations(range(n), 2)) if sel >> i & 1])
+              for n in range(6) for sel in range(1 << n * (n - 1) // 2)]
+    rng = random.Random(13)
+    graphs += [random_graph(rng.randrange(6, 9), rng.random(), rng) for _ in range(3000)]
+    total = hashlib.sha256()
+    for g in graphs:
+        fam = recognize_family(g)
+        record = (tuple(g.adj), None if fam is None else (fam.kind, fam.params),
+                  [tuple(f.adj) for f in join_factors(g)])
+        total.update(repr(record).encode())
+    assert total.hexdigest() == PINNED_FAMILIES
