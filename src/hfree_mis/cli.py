@@ -150,9 +150,9 @@ def cmd_generate(args) -> int:
         if solution is not None:
             witness = lift_solution(solution, out)
             comments.append("planted witness: " + " ".join(str(v + 1) for v in witness))
-        for v, lab in enumerate(out.graph.labels):
-            i, j, key, a = lab
-            comments.append(f"vertex {v + 1}: gadget ({i},{j}) clique {key} index {a}")
+        for (i, j, key), vs in out.clique_at.items():
+            for a, v in enumerate(vs):
+                comments.append(f"vertex {v + 1}: gadget ({i},{j}) clique {key} index {a}")
         _write(args.output, emit_graph(out.graph, comments=tuple(comments)))
         return 0
     if args.kind == "orcompose":

@@ -44,6 +44,7 @@ def solve_cluster_free(g: Graph, k: int, r: int, q: int, mask: int | None = None
     Requires G[mask] free of the disjoint union of q copies of K_r; a
     violating embedding discovered mid-run raises PatternViolationError.
     """
+    mask = g.vertex_mask(mask)
     if k <= 0:
         return ClusterResult(True, (), 0)
     window_size = ramsey_bound(r, k)
@@ -125,7 +126,7 @@ def solve_cluster_free(g: Graph, k: int, r: int, q: int, mask: int | None = None
         return fam
 
     try:
-        solve(g.full_mask if mask is None else mask, q, ())
+        solve(mask, q, ())
     except _Found as hit:
         wit = tuple(bits(hit.mask))
         if len(wit) < k or not g.is_independent_set(wit):

@@ -17,8 +17,7 @@ from .graph import Graph, bits
 
 def find_p4(g: Graph, mask: int | None = None) -> tuple[int, ...] | None:
     """Some induced P4 inside ``mask`` (as an ordered path), or None."""
-    if mask is None:
-        mask = g.full_mask
+    mask = g.vertex_mask(mask)
     vs = list(bits(mask))
     for b in vs:
         for c in bits(g.adj[b] & mask):
@@ -59,8 +58,7 @@ def cograph_decompose(g: Graph, mask: int | None = None) -> tuple[int, int, list
     union is ``mask``, and the cover has as many classes as the witness has
     vertices.
     """
-    if mask is None:
-        mask = g.full_mask
+    mask = g.vertex_mask(mask)
 
     def rec(m: int) -> tuple[int, int, list[int]]:
         if m.bit_count() <= 1:
@@ -106,26 +104,3 @@ def cograph_alpha(g: Graph, mask: int | None = None) -> tuple[int, int]:
     alpha, wit, _ = cograph_decompose(g, mask)
     return alpha, wit
 
-
-def random_cograph(n_ops: int, rng) -> Graph:
-    """Random cograph grown by union/join of random smaller pieces."""
-    g = Graph(1)
-    for _ in range(n_ops):
-        h = Graph(1)
-        if rng.random() < 0.5:
-            from .graph import disjoint_union
-            g = disjoint_union(g, h)
-        else:
-            from .graph import join
-            g = join(g, h)
-        if rng.random() < 0.3 and g.n >= 2:
-            # occasionally duplicate a vertex as a twin to fatten parts
-            v = rng.randrange(g.n)
-            adj = [row | ((row >> v & 1) << g.n) for row in g.adj]
-            newrow = g.adj[v]
-            if rng.random() < 0.5:
-                newrow |= 1 << v
-                adj[v] |= 1 << g.n
-            adj.append(newrow)
-            g = Graph.from_adj(adj)
-    return g

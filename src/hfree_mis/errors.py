@@ -41,10 +41,6 @@ class InternalCheckError(Exception):
 class UnsupportedPatternError(Exception):
     """The requested pattern H is outside the supported solver families."""
 
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(reason)
-
 
 class InputFormatError(Exception):
     """Malformed graph text; carries the 1-based offending line number."""

@@ -8,8 +8,9 @@ on a vertex mask of the graph, with no relabelled copy:
 ``Graph.co_components(mask)`` (the components of the complement of
 G[mask], found without building the complement), the clique searches
 ``Graph.cliques(mask, r)`` and ``Graph.max_clique(mask)``, and the
-neighbourhood union ``Graph.neighborhood(mask)``.  Entries that take a
-caller's mask check it with ``Graph.vertex_mask``.
+neighbourhood union ``Graph.neighborhood(mask)``.  These take masks
+unchecked; public entries elsewhere check a caller's mask once with
+``Graph.vertex_mask``.  A graph carries no vertex names.
 """
 
 from __future__ import annotations
@@ -36,13 +37,13 @@ def mask_of(vertices: Iterable[int]) -> int:
 class Graph:
     """Undirected graph on vertices 0..n-1, no self-loops.
 
-    ``adj[v]`` is the neighbor bitmask of v.  ``labels``, when present, is a
-    per-vertex tuple of opaque tags; labels never affect any algorithm.
+    ``adj[v]`` is the neighbor bitmask of v; a graph is nothing but ``n``
+    and these rows.
     """
 
-    __slots__ = ("n", "adj", "labels")
+    __slots__ = ("n", "adj")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), labels=None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         adj = [0] * n
         for u, v in edges:
             if u == v:
@@ -53,15 +54,13 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self.adj = adj
-        self.labels = tuple(labels) if labels is not None else None
 
     @classmethod
-    def from_adj(cls, adj: list[int], labels=None) -> "Graph":
+    def from_adj(cls, adj: list[int]) -> "Graph":
         """Trusted constructor from prebuilt adjacency rows (symmetric, loop-free)."""
         g = object.__new__(cls)
         g.n = len(adj)
         g.adj = list(adj)
-        g.labels = tuple(labels) if labels is not None else None
         return g
 
     # -- basic queries ------------------------------------------------------
@@ -151,26 +150,7 @@ class Graph:
             row = self.adj[v] & mask
             for w in bits(row):
                 adj[i] |= 1 << pos[w]
-        labels = None
-        if self.labels is not None:
-            labels = tuple(self.labels[v] for v in keep)
-        return Graph.from_adj(adj, labels), keep
-
-    def relabel(self, perm: list[int]) -> "Graph":
-        """Graph with vertex v renamed to perm[v]."""
-        adj = [0] * self.n
-        for v in range(self.n):
-            row = 0
-            for w in bits(self.adj[v]):
-                row |= 1 << perm[w]
-            adj[perm[v]] = row
-        labels = None
-        if self.labels is not None:
-            lab = [None] * self.n
-            for v in range(self.n):
-                lab[perm[v]] = self.labels[v]
-            labels = tuple(lab)
-        return Graph.from_adj(adj, labels)
+        return Graph.from_adj(adj), keep
 
     def connected_components(self, mask: int | None = None) -> list[int]:
         """Vertex masks of the components of G[mask] (default: the whole
@@ -261,17 +241,11 @@ class Graph:
 def complement(g: Graph) -> Graph:
     full = g.full_mask
     adj = [full & ~g.adj[v] & ~(1 << v) for v in range(g.n)]
-    return Graph.from_adj(adj, g.labels)
+    return Graph.from_adj(adj)
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    adj = list(g1.adj) + [row << g1.n for row in g2.adj]
-    labels = None
-    if g1.labels is not None or g2.labels is not None:
-        l1 = g1.labels if g1.labels is not None else (None,) * g1.n
-        l2 = g2.labels if g2.labels is not None else (None,) * g2.n
-        labels = l1 + l2
-    return Graph.from_adj(adj, labels)
+    return Graph.from_adj(list(g1.adj) + [row << g1.n for row in g2.adj])
 
 
 def join(g1: Graph, g2: Graph) -> Graph:

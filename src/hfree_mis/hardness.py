@@ -8,7 +8,9 @@ agreeing in the first coordinate along rows and the second along columns.
 The reduction encodes each tile as a gadget of 8(p+1) cliques of size n_t
 (a cycle of 4p+4 plus four attached paths of p+1), wired by three edge
 types, and connects neighboring gadgets toroidally so that independent
-sets of size 8(p+1)k^2 correspond exactly to feasible tilings.
+sets of size 8(p+1)k^2 correspond exactly to feasible tilings.  One map,
+``ConstructionOutput.clique_at``, names the vertices: (i, j, clique key) ->
+that clique's vertices, whose a-th stands for tile (i, j)'s a-th pair.
 
 Edge types between consecutive cliques:
 
@@ -45,9 +47,6 @@ class GridTiling:
     k: int
     m: int
     tiles: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]  # tiles[i][j] = pairs
-
-    def tile(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
-        return self.tiles[i][j]
 
     @property
     def tile_size(self) -> int:
@@ -154,9 +153,16 @@ class ConstructionOutput:
     variant: str
     p: int
     gt: GridTiling
-    main_cliques: tuple[tuple[int, ...], ...]   # every clique, as vertex tuples
-    cycle_cliques: dict                          # (i, j, t) -> vertex tuple
-    clique_at: dict                              # (i, j, key) -> vertex tuple
+    clique_at: dict          # (i, j, key) -> vertex tuple, in vertex order
+
+    @property
+    def main_cliques(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.clique_at.values())
+
+    @property
+    def cycle_cliques(self) -> dict:
+        """(i, j, t) -> vertex tuple of cycle clique t of gadget (i, j)."""
+        return {(i, j, key[1]): vs for (i, j, key), vs in self.clique_at.items() if key[0] == "cycle"}
 
 
 def _cross_rows(kind: str, src_elems, dst_elems) -> tuple[list[int], list[int]]:
@@ -211,8 +217,7 @@ def _build(gt: GridTiling, variant: str, p: int, connect_gadgets: bool) -> Const
     def offset(i, j, key):
         return ((i * k + j) * per_gadget + key_index[key]) * n_t
 
-    labels = [(i, j, key, a) for i in range(k) for j in range(k) for key in keys for a in range(n_t)]
-    adj = [0] * len(labels)
+    adj = [0] * (k * k * per_gadget * n_t)
     block = (1 << n_t) - 1
 
     def join_cliques(rows_cols, src, dst):
@@ -249,26 +254,16 @@ def _build(gt: GridTiling, variant: str, p: int, connect_gadgets: bool) -> Const
                 join_cliques(_cross_rows("col", gt.tiles[i][j], gt.tiles[(i + 1) % k][j]),
                              offset(i, j, _port_key("bottom", p)),
                              offset((i + 1) % k, j, _port_key("top", p)))
-    graph = Graph.from_adj(adj, labels)
-
-    main = []
+    graph = Graph.from_adj(adj)
     clique_at = {}
-    cycle_cliques = {}
     for i in range(k):
         for j in range(k):
             for key in keys:
                 off = offset(i, j, key)
-                vs = tuple(range(off, off + n_t))
-                main.append(vs)
-                clique_at[(i, j, key)] = vs
-                if key[0] == "cycle":
-                    cycle_cliques[(i, j, key[1])] = vs
-    out = ConstructionOutput(graph, 8 * (p + 1) * k * k, variant, p, gt,
-                             tuple(main), cycle_cliques, clique_at)
-    for vs in out.main_cliques:
-        if not graph.is_clique(vs):
-            raise InternalCheckError(f"main clique {vs} is not a clique")
-    return out
+                vs = clique_at[(i, j, key)] = tuple(range(off, off + n_t))
+                if not graph.is_clique(vs):
+                    raise InternalCheckError(f"main clique {vs} is not a clique")
+    return ConstructionOutput(graph, 8 * (p + 1) * k * k, variant, p, gt, clique_at)
 
 
 # -- solution correspondence ---------------------------------------------------

@@ -276,24 +276,3 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
         return False
     return find_induced(g1, g2, cap=max(g1.n, PATTERN_CAP)) is not None
 
-
-def brute_force_induced(g: Graph, h: Graph) -> bool:
-    """Independent oracle: try every |V(h)|-subset and every bijection."""
-    from itertools import combinations, permutations
-
-    if h.n > g.n:
-        return False
-    hv = list(range(h.n))
-    for subset in combinations(range(g.n), h.n):
-        for perm in permutations(subset):
-            ok = True
-            for i in hv:
-                for j in range(i + 1, h.n):
-                    if h.has_edge(i, j) != g.has_edge(perm[i], perm[j]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return True
-    return False

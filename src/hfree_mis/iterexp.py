@@ -178,16 +178,16 @@ def iterexp_driver(g: Graph, k: int, batch_size, expansion_solver):
     """Decide an independent set of size k through iterative expansion.
 
     Accumulates ``batch_size(k)`` vertex-disjoint independent sets of size
-    k-1 (built by recursive self-calls); when building stalls, every
-    independent set of size k meets the accumulated vertices, so the driver
-    branches on each of them into a k-1 subproblem.  A complete batch is
-    handed to ``expansion_solver(graph, k, sets, solve)`` which must return
-    a witness of size >= k or None meaning no independent set of size k
-    exists; ``solve(mask, k')`` is a ``MisCallback`` on that graph that
-    re-enters the driver for recursive branching.
+    k-1 (built by recursive self-calls).  The driver alone makes the search
+    complete, by branching on a vertex v into a k-1 subproblem outside N[v]:
+    on every accumulated vertex when building stalls or the batch is full,
+    and, after a full batch, on every other vertex when
+    ``expansion_solver(graph, k, sets, solve)`` finds nothing.  That solver
+    need only be sound: a witness of size >= k, or None.  ``solve(mask,
+    k')`` is a ``MisCallback`` on that graph that re-enters the driver.
 
-    Returns a sorted witness tuple, or None.  Complete whenever the
-    expansion solver is.  A PatternViolationError names vertices of ``g``.
+    Returns a sorted witness tuple, or None.  A PatternViolationError names
+    vertices of ``g``.
     """
     memo: dict[tuple[Graph, int], tuple[int, ...] | None] = {}
 
@@ -226,6 +226,14 @@ def iterexp_driver(g: Graph, k: int, batch_size, expansion_solver):
             raise exc.lifted(kept) from None
         return None if wit is None else tuple(kept[w] for w in wit)
 
+    def branch(gg: Graph, kk: int, vertices) -> tuple[int, ...] | None:
+        """A witness holding one of ``vertices``, tried in order, or None."""
+        for v in vertices:
+            wit = solve_within(gg, gg.full_mask & ~gg.closed_neighborhood(v), kk - 1)
+            if wit is not None:
+                return wit + (v,)
+        return None
+
     def _inner(gg: Graph, kk: int) -> tuple[int, ...] | None:
         from .oracle import greedy_independent_set
 
@@ -239,16 +247,17 @@ def iterexp_driver(g: Graph, k: int, batch_size, expansion_solver):
             wit = solve_within(gg, gg.full_mask & ~used, kk - 1)
             if wit is None:
                 # every independent set of size kk meets the accumulated sets
-                for v in bits(used):
-                    wit2 = solve_within(gg, gg.full_mask & ~gg.closed_neighborhood(v), kk - 1)
-                    if wit2 is not None:
-                        return wit2 + (v,)
-                return None
+                return branch(gg, kk, bits(used))
             s = wit[: kk - 1]
             sets.append(s)
             for v in s:
                 used |= 1 << v
-        return expansion_solver(gg, kk, sets, partial(solve_within, gg))
+        wit = branch(gg, kk, bits(used))
+        if wit is None:
+            wit = expansion_solver(gg, kk, sets, partial(solve_within, gg))
+        if wit is None:
+            wit = branch(gg, kk, bits(gg.full_mask & ~used))
+        return wit
 
     return solve(g, k)
 
@@ -318,7 +327,6 @@ class StageOutcome:
     instances: list[FaugInstance]
     early_set: tuple[int, ...] | None
     mono_clique_size: int
-    exhausted: bool   # True when no cap truncated the branch enumeration
 
 
 def ramsey_extraction_stage(g: Graph, k: int, seed_sets: list[tuple[int, ...]],
@@ -334,7 +342,7 @@ def ramsey_extraction_stage(g: Graph, k: int, seed_sets: list[tuple[int, ...]],
     if k == 1:
         # no cliques needed; a single all-vertex part per coloring
         inst = FaugInstance.build(g, 1, (g.full_mask,), RamseyCliques((), ()))
-        return StageOutcome([inst], None, 0, True)
+        return StageOutcome([inst], None, 0)
     for s in seed_sets:
         if len(s) != k - 1:
             raise ValueError("seed sets must have size k-1")
@@ -345,20 +353,18 @@ def ramsey_extraction_stage(g: Graph, k: int, seed_sets: list[tuple[int, ...]],
     mono = sorted(_max_monochromatic_clique(m, colors)) if m > 1 else list(range(m))
     h_req = h_faithful(k, f_k) if config.faithful else f_k
     if len(mono) < max(h_req, f_k):
-        return StageOutcome([], None, len(mono), False)
+        return StageOutcome([], None, len(mono))
 
     # columns of the monochromatic batch form the candidate cliques
     full_cliques = tuple(tuple(seed_sets[i][p] for i in mono) for p in range(k - 1))
     for col in full_cliques:
         if g.is_independent_set(col):
             if len(col) >= k:
-                return StageOutcome([], tuple(col[:k]), len(mono), True)
+                return StageOutcome([], tuple(col[:k]), len(mono))
 
-    exhausted = True
     subsets = list(combinations(range(len(mono)), f_k))
-    if not config.faithful and len(subsets) > MAX_INDEX_SUBSETS:
+    if not config.faithful:
         subsets = subsets[:MAX_INDEX_SUBSETS]
-        exhausted = False
 
     clique_vertices = mask_of(v for cl in full_cliques for v in cl)
     instances: list[FaugInstance] = []
@@ -394,13 +400,12 @@ def ramsey_extraction_stage(g: Graph, k: int, seed_sets: list[tuple[int, ...]],
             if any(not c for c in classes):
                 continue
             tuples = list(product(*[sorted(c.items()) for c in classes]))
-            if not config.faithful and len(tuples) > MAX_SIGNATURE_TUPLES:
+            if not config.faithful:
                 tuples = tuples[:MAX_SIGNATURE_TUPLES]
-                exhausted = False
             for combo in tuples:
                 parts = tuple(mask for _sig, mask in combo)
                 try:
                     instances.append(FaugInstance.build(g, k, parts, rc))
                 except ValueError:
                     continue  # degenerate branch: disconnected bipartite graph
-    return StageOutcome(instances, None, len(mono), exhausted)
+    return StageOutcome(instances, None, len(mono))

@@ -49,9 +49,9 @@ def greedy_clique_cover(g: Graph, order: list[int] | None = None,
     """Partition of ``mask`` (default: V) into cliques (as masks), greedily by
     descending degree inside the mask, ties to the lower index, unless
     ``order`` gives the vertices in another order."""
+    cands = g.vertex_mask(mask)
     if order is None:
         adj = g.adj
-        cands = g.full_mask if mask is None else mask
         order = sorted(bits(cands), key=lambda v: (adj[v] & cands).bit_count(), reverse=True)
     classes: list[int] = []
     for v in order:
@@ -67,7 +67,7 @@ def greedy_clique_cover(g: Graph, order: list[int] | None = None,
 
 def greedy_independent_set(g: Graph, mask: int | None = None) -> int:
     """Min-degree greedy independent set within ``mask``, as a mask."""
-    cands = g.full_mask if mask is None else mask
+    cands = g.vertex_mask(mask)
     out = 0
     while cands:
         best, best_deg = -1, g.n + 1
@@ -254,8 +254,6 @@ def _search(g: Graph, cover: list[int], mask: int, best_mask: int, best: int, ta
 
 def enumerate_independent_sets(g: Graph, mask: int | None = None):
     """Yield every independent subset of ``mask`` (including the empty set)."""
-    cands0 = g.full_mask if mask is None else mask
-
     def rec(cur: int, cands: int):
         yield cur
         rest = cands
@@ -263,4 +261,4 @@ def enumerate_independent_sets(g: Graph, mask: int | None = None):
             rest &= ~(1 << v)
             yield from rec(cur | (1 << v), rest & ~g.adj[v])
 
-    yield from rec(0, cands0)
+    yield from rec(0, g.vertex_mask(mask))

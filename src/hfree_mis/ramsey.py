@@ -90,8 +90,7 @@ def ramsey_extract(g: Graph, r: int, k: int, mask: int | None = None) -> RamseyO
     Requires at least ramsey_bound(r, k) vertices (in ``mask`` if given);
     runs in polynomial time, no subset enumeration.
     """
-    if mask is None:
-        mask = g.full_mask
+    mask = g.vertex_mask(mask)
     if mask.bit_count() < ramsey_bound(r, k):
         raise ValueError(
             f"need at least ramsey_bound({r},{k}) = {ramsey_bound(r, k)} vertices, "
@@ -201,8 +200,7 @@ def eh_extract(g: Graph, r: int, s: int, mask: int | None = None) -> RamseyOutco
     """
     if not (1 <= s < r):
         raise ValueError("need 1 <= s < r")
-    if mask is None:
-        mask = g.full_mask
+    mask = g.vertex_mask(mask)
     n = mask.bit_count()
     if n == 0:
         raise ValueError("empty graph")

@@ -24,10 +24,10 @@ vertices that is checked before it is returned.
   matching rainbow solver.
 
 Expansion thresholds at their faithful values are astronomically large, so
-the structured stage runs under desk-mode caps and the driver closes every
-undecided branch by sound vertex branching; decisions are therefore exact
-(never a false yes or a false no), while the structured machinery is still
-exercised whenever the caps allow.  Faithful thresholds are available for
+the structured stage runs under desk-mode caps and the expansion driver
+closes every undecided case by its own vertex branching; decisions are
+therefore exact (never a false yes or a false no), while the structured
+machinery is still exercised whenever the caps allow.  Faithful thresholds are available for
 k <= 2.  The pipeline is a reproduction, not the decision path: on every
 benchmarked family it is slower than the exact core.
 """
@@ -47,7 +47,7 @@ from .faug import (
 )
 from .graph import Graph, bits, mask_of
 from .induced import find_induced, is_isomorphic
-from .iterexp import StageConfig, StageOutcome, g_faithful, iterexp_driver, ramsey_extraction_stage
+from .iterexp import StageConfig, g_faithful, iterexp_driver, ramsey_extraction_stage
 from .kernelize import kernel_paw_like, solve_via_turing
 from .oracle import DEFAULT_BUDGET, alpha_exact, greedy_independent_set
 from .patterns import FamilyMatch, HPattern, path, pattern, recognize_family
@@ -258,10 +258,10 @@ def _solve_by_paw_kernel(g: Graph, k: int, r: int, seed: int,
 def _expansion_solve(g: Graph, k: int, f_k: int, faug_runner, rng: random.Random,
                      config: SolveConfig, method: str, seed: int) -> SolveOutcome:
     """Run the expansion driver with the Ramsey stage and the family's
-    rainbow solver as the expansion step, closed off by sound branching so
-    the decision is exact even under desk-mode caps."""
-    notes: list[str] = []
-    stats = {"instances": 0, "structured_hits": 0, "fallback_branches": 0}
+    rainbow solver as its expansion step.  The step only has to be sound:
+    the driver's own vertex branching closes whatever the desk-mode caps
+    leave undecided, so the decision is exact."""
+    stats = {"instances": 0, "structured_hits": 0}
     stage = StageConfig(faithful=config.faithful)
 
     def batch_size(kk: int) -> int:
@@ -269,24 +269,9 @@ def _expansion_solve(g: Graph, k: int, f_k: int, faug_runner, rng: random.Random
             return g_faithful(kk, f_k)
         return f_k + EXTRA_SEED_SETS
 
-    def branch(gg: Graph, kk: int, vertices, solve) -> tuple[int, ...] | None:
-        for v in vertices:
-            stats["fallback_branches"] += 1
-            wit = solve(gg.full_mask & ~gg.closed_neighborhood(v), kk - 1)
-            if wit is not None:
-                return wit + (v,)
-        return None
-
     def expansion(gg: Graph, kk: int, sets, solve) -> tuple[int, ...] | None:
-        used = 0
-        for s in sets:
-            for v in s:
-                used |= 1 << v
-        hit = branch(gg, kk, bits(used), solve)
-        if hit is not None:
-            return hit
-        # independent sets of size kk now avoid every seed set
-        outcome: StageOutcome = ramsey_extraction_stage(gg, kk, sets, f_k, rng, stage)
+        # the driver has branched on the seed sets: what is left avoids them
+        outcome = ramsey_extraction_stage(gg, kk, sets, f_k, rng, stage)
         if outcome.early_set is not None:
             return outcome.early_set
         for inst in outcome.instances:
@@ -299,14 +284,11 @@ def _expansion_solve(g: Graph, k: int, f_k: int, faug_runner, rng: random.Random
                 stats["structured_hits"] += 1
                 if gg.is_independent_set(res.witness) and len(res.witness) >= kk:
                     return res.witness
-        # desk-mode caps may have truncated the branch space: close the
-        # remaining case (a transversal avoiding the seed sets) soundly
-        return branch(gg, kk, bits(gg.full_mask & ~used), solve)
+        return None
 
     wit = iterexp_driver(g, k, batch_size, expansion)
-    notes.append(f"structured instances tried: {stats['instances']}"
-                 f" (hits: {stats['structured_hits']})")
-    notes.append(f"branch expansions: {stats['fallback_branches']}")
+    notes = [f"structured instances tried: {stats['instances']}"
+             f" (hits: {stats['structured_hits']})"]
     if wit is not None:
         return SolveOutcome(True, tuple(sorted(wit)), k, method, seed, notes)
     return SolveOutcome(False, (), k, method, seed, notes)

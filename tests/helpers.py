@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations, permutations
 
-from hfree_mis.graph import Graph, random_graph
+from hfree_mis.graph import Graph, disjoint_union, join, random_graph
 from hfree_mis.induced import find_induced
 from hfree_mis.patterns import HPattern, complete
 
@@ -51,3 +52,45 @@ def check_yes_witness(g: Graph, out, k: int) -> None:
         return
     assert len(set(out.witness)) >= k, (out.method, out.witness, k)
     assert g.is_independent_set(out.witness), (out.method, out.witness)
+
+
+def random_cograph(n_ops: int, rng) -> Graph:
+    """Random cograph grown by union/join of random smaller pieces."""
+    g = Graph(1)
+    for _ in range(n_ops):
+        h = Graph(1)
+        if rng.random() < 0.5:
+            g = disjoint_union(g, h)
+        else:
+            g = join(g, h)
+        if rng.random() < 0.3 and g.n >= 2:
+            # occasionally duplicate a vertex as a twin to fatten parts
+            v = rng.randrange(g.n)
+            adj = [row | ((row >> v & 1) << g.n) for row in g.adj]
+            newrow = g.adj[v]
+            if rng.random() < 0.5:
+                newrow |= 1 << v
+                adj[v] |= 1 << g.n
+            adj.append(newrow)
+            g = Graph.from_adj(adj)
+    return g
+
+
+def brute_force_induced(g: Graph, h: Graph) -> bool:
+    """Independent oracle: try every |V(h)|-subset and every bijection."""
+    if h.n > g.n:
+        return False
+    hv = list(range(h.n))
+    for subset in combinations(range(g.n), h.n):
+        for perm in permutations(subset):
+            ok = True
+            for i in hv:
+                for j in range(i + 1, h.n):
+                    if h.has_edge(i, j) != g.has_edge(perm[i], perm[j]):
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                return True
+    return False

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import random
 
-from .errors import InternalCheckError
-from .graph import Graph, mask_of
-from .induced import find_induced
-from .iterexp import FaugInstance, RamseyCliques
-from .patterns import clique_minus_bipartite, clique_minus_clique, pattern
+from hfree_mis.errors import InternalCheckError
+from hfree_mis.graph import Graph, mask_of
+from hfree_mis.induced import find_induced
+from hfree_mis.iterexp import FaugInstance, RamseyCliques
+from hfree_mis.patterns import clique_minus_bipartite, clique_minus_clique, pattern
 
 
 def _build_graph(n: int, edges: set[tuple[int, int]]) -> Graph:

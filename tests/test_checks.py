@@ -3,7 +3,9 @@ vertex subsets are masks of the graph at hand, not relabelled copies (the
 kernels and the Turing drivers included; copies are made only at the three
 sites of ``RELABELLING_SITES``), a complement is read through
 ``Graph.co_components`` rather than built (``complement`` is called only at
-the site of ``COMPLEMENT_SITES``), and every budget defaults to
+the site of ``COMPLEMENT_SITES``), every public entry that takes a caller's
+``mask`` checks it with ``Graph.vertex_mask`` (exemptions in
+``UNCHECKED_MASK_ENTRIES``), and every budget defaults to
 ``oracle.DEFAULT_BUDGET``."""
 
 import ast
@@ -12,7 +14,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hfree_mis
+from hfree_mis.cluster import solve_cluster_free
+from hfree_mis.cograph import cograph_decompose, find_p4
+from hfree_mis.graph import Graph
+from hfree_mis.oracle import (
+    enumerate_independent_sets,
+    greedy_clique_cover,
+    greedy_independent_set,
+)
+from hfree_mis.ramsey import eh_extract, ramsey_extract
 
 PACKAGE_DIR = Path(hfree_mis.__file__).resolve().parent
 
@@ -72,6 +85,69 @@ def test_relabelling_sites():
 def test_complement_sites():
     found = _calls_outside("complement", COMPLEMENT_SITES)
     assert found == [], f"complements built outside the allowed sites: {found}"
+
+
+# public functions with a ``mask`` parameter that need not call vertex_mask
+UNCHECKED_MASK_ENTRIES = {
+    ("graph", "Graph"),          # unchecked primitives, reached with checked masks
+    ("graph", "bits"),           # iterates any non-negative int
+    ("cograph", "cograph_alpha"),  # delegates to cograph_decompose
+}
+
+
+def _public_mask_entries(tree: ast.Module):
+    """(owner, function, node) of every public top-level function, and every
+    public method of a public top-level class, with a ``mask`` parameter;
+    the owner is the class, or the function itself."""
+    for node in tree.body:
+        funcs = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            funcs = [(node.name, f) for f in node.body if isinstance(f, ast.FunctionDef)]
+        for owner, f in funcs:
+            args = f.args
+            if not f.name.startswith("_") and "mask" in {
+                    a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}:
+                yield owner, f.name, f
+
+
+def test_mask_entries_are_checked():
+    found, seen = [], set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for owner, name, node in _public_mask_entries(tree):
+            seen.add(name)
+            if ((path.stem, owner) not in UNCHECKED_MASK_ENTRIES
+                    and next(_calls(node, "vertex_mask"), None) is None):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == [], f"mask entries that never call vertex_mask: {found}"
+    # the walk still sees the entries it was written for
+    assert {"alpha_exact", "find_induced", "solve_cluster_free", "connected_components",
+            "cograph_alpha"} <= seen, seen
+
+
+_G = Graph(3, [(0, 1)])
+
+# every public mask entry that checks the caller's mask, called on _G
+MASK_ENTRIES = {
+    "solve_cluster_free": lambda m: solve_cluster_free(_G, 1, 2, 1, mask=m),
+    "ramsey_extract": lambda m: ramsey_extract(_G, 2, 2, m),
+    "eh_extract": lambda m: eh_extract(_G, 3, 1, m),
+    "greedy_clique_cover": lambda m: greedy_clique_cover(_G, mask=m),
+    "greedy_independent_set": lambda m: greedy_independent_set(_G, m),
+    "enumerate_independent_sets": lambda m: list(enumerate_independent_sets(_G, m)),
+    "find_p4": lambda m: find_p4(_G, m),
+    "cograph_decompose": lambda m: cograph_decompose(_G, m),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MASK_ENTRIES))
+def test_mask_entries_reject_foreign_masks(name):
+    call = MASK_ENTRIES[name]
+    call(_G.full_mask)
+    with pytest.raises(ValueError, match=r"outside the 3 vertices"):
+        call(0b100011)
+    with pytest.raises(ValueError, match="negative"):
+        call(-1)
 
 
 def test_internal_check_survives_optimize_flag():

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from hfree_mis import cograph
-from hfree_mis.cograph import cograph_alpha, cograph_decompose, find_p4, random_cograph
+from hfree_mis.cograph import cograph_alpha, cograph_decompose, find_p4
 from hfree_mis.errors import InternalCheckError, PatternViolationError
 from hfree_mis.graph import mask_of
 from hfree_mis.oracle import alpha_exact
 from hfree_mis.patterns import complete_bipartite, path, pattern
+
+from helpers import random_cograph
 
 
 def test_p4_detected():

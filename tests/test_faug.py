@@ -14,11 +14,8 @@ from hfree_mis.induced import find_induced
 from hfree_mis.iterexp import FaugInstance, RamseyCliques
 from hfree_mis.oracle import alpha_exact
 from hfree_mis.patterns import clique_minus_bipartite, clique_minus_clique
-from hfree_mis.planted import (
-    planted_bipartite_instance,
-    planted_gem_instance,
-    planted_path_instance,
-)
+
+from planted import planted_bipartite_instance, planted_gem_instance, planted_path_instance
 
 
 def _oracle_callback(g):

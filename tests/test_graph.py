@@ -144,16 +144,6 @@ def test_induced_subgraph_keeps_edges():
                 assert sub.has_edge(i, j) == g.has_edge(kept[i], kept[j])
 
 
-def test_labels_follow_operations():
-    g = Graph(2, [(0, 1)], labels=("a", "b"))
-    h = Graph(1, labels=("c",))
-    u = disjoint_union(g, h)
-    assert u.labels == ("a", "b", "c")
-    assert complement(u).labels == ("a", "b", "c")
-    sub, _ = u.induced(mask_of([1, 2]))
-    assert sub.labels == ("b", "c")
-
-
 def test_bits_round_trip():
     m = mask_of([0, 3, 7])
     assert list(bits(m)) == [0, 3, 7]

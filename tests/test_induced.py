@@ -5,8 +5,10 @@ from functools import reduce
 import pytest
 
 from hfree_mis.graph import Graph, bits, complement, disjoint_union, random_graph
-from hfree_mis.induced import _fitting, _plan, brute_force_induced, find_induced, is_isomorphic
+from hfree_mis.induced import _fitting, _plan, find_induced, is_isomorphic
 from hfree_mis.patterns import HPattern, complete, complete_multipartite, cycle, pattern, petersen
+
+from helpers import brute_force_induced
 
 
 def _embedding_is_induced(g, h, emb):
@@ -75,7 +77,7 @@ def _pieces(h, rng):
         elif rng.random() < 0.5:
             perm = list(range(h.n))
             rng.shuffle(perm)
-            out.append(h.relabel(perm))
+            out.append(Graph(h.n, [(perm[u], perm[v]) for u, v in h.edges()]))
         else:
             out.append(random_graph(h.n, rng.random(), rng))
     return out

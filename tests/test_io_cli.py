@@ -146,6 +146,23 @@ def test_cli_generate_round_trip(tmp_path, capsys):
     assert open(out2).read() == text
 
 
+# sha256 over the files `generate --kind gridtiling` writes below, recorded
+# when the per-vertex comments were still read from vertex labels on the graph
+CLI_GENERATE_DIGEST = "a398e4d24c86d8180a6c26e89222d8a39d8dcedae686fa397d9f17466ed4f2c6"
+
+
+def test_cli_generate_output_is_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for variant in ("first", "second", "third"):
+        for args in (["--k", "2", "--m", "2", "--nt", "2", "--p", "1", "--planted"],
+                     ["--k", "2", "--m", "3", "--nt", "3", "--p", "2"]):
+            out_path = tmp_path / "inst.txt"
+            assert main(["generate", "--kind", "gridtiling", "--variant", variant, *args,
+                         "--seed", "5", "--output", str(out_path)]) == 0
+            digest.update(out_path.read_bytes())
+    assert digest.hexdigest() == CLI_GENERATE_DIGEST
+
+
 def test_cli_generate_orcompose(tmp_path, capsys):
     p1 = _write_graph(tmp_path, pattern("C5").graph, "a.txt")
     p2 = _write_graph(tmp_path, pattern("C5").graph, "b.txt")

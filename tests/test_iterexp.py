@@ -139,6 +139,21 @@ def test_driver_matches_oracle_with_exact_expansion():
                 assert g.is_independent_set(hit) and len(hit) >= k
 
 
+def test_driver_is_complete_when_expansion_finds_nothing():
+    """The driver's own branching decides every instance, full batches
+    included, when the expansion solver never returns a witness."""
+    for batch in (1, 2):
+        rng = random.Random(12)
+        for _ in range(30):
+            g = random_graph(rng.randrange(1, 15), rng.random(), rng)
+            truth = alpha_exact(g).alpha
+            for k in range(1, 6):
+                hit = iterexp_driver(g, k, lambda kk: batch, lambda *a: None)
+                assert (hit is not None) == (truth >= k), (batch, g.edges(), k)
+                if hit is not None:
+                    assert g.is_independent_set(hit) and len(hit) >= k
+
+
 def test_driver_branches_when_building_stalls():
     """A never-succeeding expansion is still complete when building stalls
     first, because stalling proves every solution meets the batch."""
