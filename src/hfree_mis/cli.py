@@ -100,7 +100,7 @@ def cmd_kernel(args) -> int:
             for note in out.notes:
                 print(f"{prefix}note: {note}")
             if args.output:
-                for idx, (sub_mask, kk) in enumerate(out.subinstances):
+                for idx, (sub_mask, kk, _guessed) in enumerate(out.subinstances):
                     sub, _kept = g.induced(sub_mask)
                     parts.append(emit_graph(sub, comments=(f"{prefix}subinstance {idx} parameter {kk}",)))
         if args.output:

@@ -233,11 +233,12 @@ def _star_kernel_rule(g: Graph, alive: int, r: int, q: int, clique: int,
 
 @dataclass
 class TuringKernelOutput:
-    """Bounded subinstances whose disjunction answers the input; each pair is
-    (vertex mask of the input, parameter), and (0, 0) stands for a
-    subinstance already solved yes."""
+    """Bounded subinstances whose disjunction answers the input: triples
+    (vertex mask of the input, parameter, guessed vertices), where a set of
+    that many vertices in the mask plus the guessed ones is a solution;
+    (0, 0, found) stands for a subinstance already solved by ``found``."""
 
-    subinstances: list[tuple[int, int]]
+    subinstances: list[tuple[int, int, tuple[int, ...]]]
     notes: list[str] = field(default_factory=list)
 
 
@@ -249,7 +250,7 @@ def turing_kernel_star(g: Graph, k: int, r: int, mask: int | None = None) -> Tur
     Extracts a clique C, certifies V = C u N(C) with every neighbor seeing
     all but at most r-3 of C, and emits the complement-of-neighborhood
     instances; each is clique-free enough for the Ramsey kernel to shrink it
-    to O(k^(r-3)) vertices.
+    to O(k^(r-3)) vertices.  An empty mask (alpha 0) emits none for k >= 1.
     """
     if r < 4:
         raise ValueError("need r >= 4")
@@ -257,19 +258,21 @@ def turing_kernel_star(g: Graph, k: int, r: int, mask: int | None = None) -> Tur
     if len(g.connected_components(mask)) > 1:
         raise ValueError("turing_kernel_star expects a connected graph")
     if k <= 0:
-        return TuringKernelOutput([(0, 0)], notes=["trivially yes"])
+        return TuringKernelOutput([(0, 0, ())], notes=["trivially yes"])
+    if not mask:
+        return TuringKernelOutput([], notes=["empty graph"])
     if k == 1:
-        return TuringKernelOutput([(0, 0)] if mask else [], notes=["any vertex"])
+        return TuringKernelOutput([(0, 0, (next(bits(mask)),))], notes=["any vertex"])
 
     out = eh_extract(g, r, r - 2, mask)
     if out.kind == "independent_set":
         if out.size >= k:
-            return TuringKernelOutput([(0, 0)], notes=["extractor found the set"])
-        return TuringKernelOutput([(mask, k)], notes=["small instance (extractor bound)"])
+            return TuringKernelOutput([(0, 0, out.members[:k])], notes=["extractor found the set"])
+        return TuringKernelOutput([(mask, k, ())], notes=["small instance (extractor bound)"])
     clique = _maximalize_clique(g, mask_of(out.members), mask)
     csize = clique.bit_count()
     if csize <= r * r:
-        return TuringKernelOutput([(mask, k)], notes=["small instance (bounded clique)"])
+        return TuringKernelOutput([(mask, k, ())], notes=["small instance (bounded clique)"])
 
     b_mask = g.neighborhood(clique) & mask & ~clique
     for u in bits(b_mask):
@@ -286,90 +289,95 @@ def turing_kernel_star(g: Graph, k: int, r: int, mask: int | None = None) -> Tur
         raise PatternViolationError(f"K{r}-K1,{r - 2}", (w, u, *core),
                                     "vertex at distance two from the clique")
 
-    subs: list[tuple[int, int]] = []
+    subs: list[tuple[int, int, tuple[int, ...]]] = []
     notes: list[str] = []
     for u in bits(b_mask):
         piece = b_mask & ~g.closed_neighborhood(u)
-        subs.append(_reduced_sub(g, piece, k - 1, r, clique, u))
+        subs.append(_reduced_sub(g, piece, k - 1, r, clique, (u,)))
         for v in bits(clique & ~g.adj[u]):
-            subs.append(_reduced_sub(g, piece & ~g.closed_neighborhood(v), k - 2, r, clique, u))
+            subs.append(_reduced_sub(g, piece & ~g.closed_neighborhood(v), k - 2, r, clique, (u, v)))
     notes.append(f"emitted {len(subs)} subinstances from a clique of size {csize}")
     return TuringKernelOutput(subs, notes=notes)
 
 
-def _reduced_sub(g: Graph, piece: int, k_sub: int, r: int, clique: int, u: int) -> tuple[int, int]:
-    """Each emitted piece, outside N[u], avoids cliques of size r-2, so the
-    Ramsey kernel applies with r-2.  A clique Q there, a vertex x of the big
-    clique seeing u and all of Q, and u induce K_r - K_{1,r-2}: u misses at
-    most r-3 clique vertices and so does each vertex of Q, fewer than the
-    clique's r^2."""
+def _reduced_sub(g: Graph, piece: int, k_sub: int, r: int, clique: int,
+                 guessed: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """The piece, outside the closed neighbourhoods of the guessed u (and v),
+    avoids cliques of size r-2, so the Ramsey kernel applies with r-2.  A
+    clique Q there, a vertex x of the big clique seeing u and all of Q, and
+    u induce K_r - K_{1,r-2}: u misses at most r-3 clique vertices and so
+    does each vertex of Q, fewer than the clique's r^2."""
     if k_sub <= 0:
-        return 0, 0
+        return 0, 0, guessed
     if piece.bit_count() >= ramsey_bound(r - 2, k_sub):
         out = ramsey_extract(g, r - 2, k_sub, piece)
         if out.kind == "clique":
-            sees_all = clique & g.adj[u]
+            sees_all = clique & g.adj[guessed[0]]
             for q in out.members:
                 sees_all &= g.adj[q]
             if not sees_all:
                 raise InternalCheckError("a clique of more than r^2 vertices leaves no common neighbour")
             raise PatternViolationError(
-                f"K{r}-K1,{r - 2}", (*out.members, next(bits(sees_all)), u),
+                f"K{r}-K1,{r - 2}", (*out.members, next(bits(sees_all)), guessed[0]),
                 "emitted piece contains a large clique")
-        return 0, 0  # solved: the extractor found k_sub independent vertices
-    return piece, k_sub
+        return 0, 0, guessed + out.members[:k_sub]  # the extractor solved it
+    return piece, k_sub, guessed
 
 
 class _SharedBudget:
-    """One node budget charged by a sequence of oracle calls: each call gets
-    what the calls before it left."""
+    """One node budget charged by a sequence of oracle calls, each asking for
+    k independent vertices of G[mask]: a call gets what those before it left."""
 
     def __init__(self, budget: int):
         self.budget = budget
         self.used = 0
 
-    def alpha(self, g: Graph, mask: int) -> int:
+    def reaches(self, g: Graph, mask: int, k: int) -> tuple[int, ...] | None:
         try:
             res = alpha_exact(g, self.budget - self.used, mask=mask)
         except BudgetExceededError as exc:
             raise BudgetExceededError(self.used + exc.nodes_used, self.budget) from None
         self.used += res.nodes_used
-        return res.alpha
+        return res.witness[:max(k, 0)] if res.alpha >= k else None
 
 
-def solve_via_turing(g: Graph, k: int, r: int, budget: int = DEFAULT_BUDGET) -> bool:
-    """Decision driver: per connected component, the largest target its
-    subinstances support; yes iff the component maxima sum to k.  Every
+def solve_via_turing(g: Graph, k: int, r: int,
+                     budget: int = DEFAULT_BUDGET) -> tuple[int, ...] | None:
+    """Driver: per connected component, the largest target its subinstances
+    support, witnessed by the first yes subinstance's set plus its guessed
+    vertices.  A sorted independent set of k vertices, the union of the
+    components' sets, or None when their targets sum to less than k.  Every
     oracle call draws on the one ``budget``."""
     shared = _SharedBudget(budget)
-    total = 0
+    found: list[int] = []
     for comp in g.connected_components():
-        best = 0
+        best: tuple[int, ...] = ()
         for i in range(1, k + 1):
             out = turing_kernel_star(g, i, r, comp)
-            if any(shared.alpha(g, j_mask) >= j_k for j_mask, j_k in out.subinstances):
-                best = i
-            else:
+            hit = next((guessed + sub for j_mask, j_k, guessed in out.subinstances
+                        if (sub := shared.reaches(g, j_mask, j_k)) is not None), None)
+            if hit is None:
                 break
-        total += best
-        if total >= k:
-            return True
-    return total >= k
+            best = hit
+        found += best
+        if len(found) >= k:
+            break
+    return tuple(sorted(found)[:max(k, 0)]) if len(found) >= k else None
 
 
-def solve_via_isolated_clique(g: Graph, k: int, r: int, budget: int = DEFAULT_BUDGET) -> bool:
-    """Decision for graphs excluding K_{r-1} plus an isolated vertex, the
+def solve_via_isolated_clique(g: Graph, k: int, r: int,
+                              budget: int = DEFAULT_BUDGET) -> tuple[int, ...] | None:
+    """Driver for graphs excluding K_{r-1} plus an isolated vertex, the
     Turing kernel behind the verdict rule ``turing-kernel:isolated-vertex``:
     guess a solution vertex v; its non-neighborhood is K_{r-1}-free, so it
     is solved by the Ramsey extractor when it reaches ramsey_bound(r-1, k-1)
-    vertices and is a bounded instance for the oracle otherwise.  Every
-    oracle call draws on the one ``budget``."""
+    vertices and is a bounded instance for the oracle otherwise.  A sorted
+    independent set of k vertices (v and the non-neighborhood's set), or
+    None when alpha < k.  Every oracle call draws on the one ``budget``."""
     if k <= 0:
-        return True
-    if g.n == 0:
-        return False
+        return ()
     if k == 1:
-        return True
+        return (0,) if g.n else None
     shared = _SharedBudget(budget)
     for v in range(g.n):
         non = g.full_mask & ~g.closed_neighborhood(v)
@@ -378,7 +386,8 @@ def solve_via_isolated_clique(g: Graph, k: int, r: int, budget: int = DEFAULT_BU
             if out.kind == "clique":
                 raise PatternViolationError(f"K{r - 1}+K1", (*out.members, v),
                                             "clique in a non-neighborhood")
-            return True
-        if shared.alpha(g, non) >= k - 1:
-            return True
-    return False
+            return tuple(sorted((v, *out.members[:k - 1])))
+        sub = shared.reaches(g, non, k - 1)
+        if sub is not None:
+            return tuple(sorted((v, *sub)))
+    return None

@@ -8,8 +8,7 @@ star K_{1,r-2}; the gem).  Three-vertex-path-free inputs are decided by
 counting components.  Every other supported family is decided in two
 steps: a greedy independent set answers yes when it reaches k, and
 otherwise the exact oracle ``alpha_exact``, starting from that greedy set,
-decides under ``SolveConfig.budget``.  Every yes carries a witness of k
-vertices that is checked before it is returned.
+decides under ``SolveConfig.budget``.
 
 ``solve_paper`` runs the paper's pipeline per family:
 
@@ -17,7 +16,7 @@ vertices that is checked before it is returned.
 * a clique minus one edge, or minus a two-leaf star -> kernelize, then
   decide the bounded kernel exactly;
 * a clique with a pendant vertex removed (K_r - K_{1,r-2}) -> the Turing
-  kernel driver (no witness);
+  kernel driver;
 * a clique minus a triangle, minus a complete bipartite graph, or the gem
   -> iterative expansion: accumulate disjoint size-(k-1) independent sets,
   run the Ramsey extraction stage, hand structured instances to the
@@ -30,6 +29,9 @@ therefore exact (never a false yes or a false no), while the structured
 machinery is still exercised whenever the caps allow.  Faithful thresholds are available for
 k <= 2.  The pipeline is a reproduction, not the decision path: on every
 benchmarked family it is slower than the exact core.
+
+Every route of both entries ends in ``_decided``: a yes carries a witness of
+k vertices, checked before it is returned.
 """
 
 from __future__ import annotations
@@ -71,10 +73,20 @@ class SolveConfig:
 class SolveOutcome:
     decision: bool
     witness: tuple[int, ...]
-    k: int
     method: str
-    seed: int | None = None
     notes: list[str] = field(default_factory=list)
+
+
+def _decided(g: Graph, k: int, found, method: str, notes=()) -> SolveOutcome:
+    """The outcome of a route that found the independent set ``found``, or
+    None for no.  A yes keeps the first max(k, 0) sorted vertices and checks
+    them: InternalCheckError unless they are k distinct independent ones."""
+    if found is None:
+        return SolveOutcome(False, (), method, list(notes))
+    wit = tuple(sorted(found))[:max(k, 0)]
+    if len(set(wit)) < k or not g.is_independent_set(wit):
+        raise InternalCheckError(f"{method} witness {wit} is not an independent set of size {k}")
+    return SolveOutcome(True, wit, method, list(notes))
 
 
 def solve_hfree(g: Graph, k: int, h: HPattern | Graph | str, seed: int = 0,
@@ -85,19 +97,12 @@ def solve_hfree(g: Graph, k: int, h: HPattern | Graph | str, seed: int = 0,
     step that decided."""
     budget = config.budget if config else DEFAULT_BUDGET
     if _recognize(h) is None:
-        out = _solve_p3_free(g, k, seed)
-    else:
-        greedy = greedy_independent_set(g)
-        if greedy.bit_count() >= k:
-            out = SolveOutcome(True, tuple(bits(greedy))[:max(k, 0)], k, "greedy", seed)
-        else:
-            exact = alpha_exact(g, budget, floor=greedy)
-            yes = exact.alpha >= k
-            out = SolveOutcome(yes, exact.witness[:k] if yes else (), k, "exact", seed)
-    if out.decision and (len(set(out.witness)) < k or not g.is_independent_set(out.witness)):
-        raise InternalCheckError(f"{out.method} witness {out.witness} is not an "
-                                 f"independent set of size {k}")
-    return out
+        return _solve_p3_free(g, k)
+    greedy = greedy_independent_set(g)
+    if greedy.bit_count() >= k:
+        return _decided(g, k, bits(greedy), "greedy")
+    exact = alpha_exact(g, budget, floor=greedy)
+    return _decided(g, k, exact.witness if exact.alpha >= k else None, "exact")
 
 
 def _recognize(h: HPattern | Graph | str) -> FamilyMatch | None:
@@ -143,8 +148,8 @@ def _family(name: str | None, hg: Graph) -> FamilyMatch | None:
 def solve_paper(g: Graph, k: int, h: HPattern | Graph | str, seed: int = 0,
                 config: SolveConfig | None = None) -> SolveOutcome:
     """The paper's pipeline for the same question as ``solve_hfree``, kept as
-    a tested reproduction.  Decisions are exact; the Turing-kernel route
-    (K_r - K_{1,r-2}) answers yes without a witness.
+    a tested reproduction.  Decisions are exact, and every yes carries a
+    checked witness, the Turing-kernel route's (K_r - K_{1,r-2}) included.
 
     A PatternViolationError names the caller's H and input vertices that
     induce it: every embedding a layer reports is checked with
@@ -181,49 +186,44 @@ def _solve_paper(g: Graph, k: int, h: HPattern | Graph | str, seed: int,
 
     fam = _recognize(h)
     if fam is None:
-        return _solve_p3_free(g, k, seed)
+        return _solve_p3_free(g, k)
     if fam.kind in ("complete", "cluster"):
-        if fam.kind == "complete":
-            r, q = fam.params[0], 1
-        else:
-            r, q = fam.params
+        r, q = (fam.params[0], 1) if fam.kind == "complete" else fam.params
         res = solve_cluster_free(g, k, r, q)
-        return SolveOutcome(res.found, res.witness, k, f"cluster r={r} q={q}", seed,
-                            [f"family insertions: {res.family_insertions}"])
+        return _decided(g, k, res.witness if res.found else None, f"cluster r={r} q={q}",
+                        [f"family insertions: {res.family_insertions}"])
 
     if fam.kind == "clique_minus_clique":
         r, s = fam.params
         if s == 2:
-            return _solve_by_paw_kernel(g, k, r + 1, seed, config)
+            return _solve_by_paw_kernel(g, k, r + 1, config)
         rho = r - 3
 
         def triangle(inst, solve):
             return solve_faug_clique_minus_triangle(
                 inst, rho, rng, solve, separation_rounds=config.separation_rounds)
         return _expansion_solve(g, k, rho, triangle, rng, config,
-                                f"clique-minus-triangle rho={rho}", seed)
+                                f"clique-minus-triangle rho={rho}")
 
     if fam.kind == "clique_minus_bipartite":
         r, s1, s2 = fam.params
         if (s1, s2) == (1, 2):
-            return _solve_by_paw_kernel(g, k, r, seed, config)
+            return _solve_by_paw_kernel(g, k, r, config)
         if s1 == 1 and s2 == r - 2:
-            yes = solve_via_turing(g, k, r, config.budget)
-            return SolveOutcome(yes, (), k, f"turing kernel r={r}", seed,
-                                ["witness not reconstructed by the Turing driver"])
+            return _decided(g, k, solve_via_turing(g, k, r, config.budget), f"turing kernel r={r}")
         rho = max(s1, s2, r - s1 - s2)
 
         def bipartite(inst, solve):
             return solve_faug_clique_minus_bipartite(inst, rho, solve)
         return _expansion_solve(g, k, 3 * rho, bipartite, rng, config,
-                                f"clique-minus-bipartite rho={rho}", seed)
+                                f"clique-minus-bipartite rho={rho}")
 
     def gem(inst, solve):
         return solve_faug_gem(inst, rng, rounds=config.gem_rounds)
-    return _expansion_solve(g, k, 1, gem, rng, config, "gem", seed)
+    return _expansion_solve(g, k, 1, gem, rng, config, "gem")
 
 
-def _solve_p3_free(g: Graph, k: int, seed: int) -> SolveOutcome:
+def _solve_p3_free(g: Graph, k: int) -> SolveOutcome:
     """Three-vertex-path-free graphs are disjoint unions of cliques: alpha
     is the number of components."""
     comps = g.connected_components()
@@ -233,30 +233,24 @@ def _solve_p3_free(g: Graph, k: int, seed: int) -> SolveOutcome:
             if p3 is None:
                 raise InternalCheckError("a component is not a clique, yet no induced P3 was found")
             raise PatternViolationError("P3", tuple(p3.values()))
-    witness = tuple(sorted(next(bits(c)) for c in comps[:max(k, 0)]))
-    return SolveOutcome(len(comps) >= k, witness if len(comps) >= k else (), k,
-                        "component count (P3-free)", seed)
+    found = [next(bits(c)) for c in comps] if len(comps) >= k else None
+    return _decided(g, k, found, "component count (P3-free)")
 
 
-def _solve_by_paw_kernel(g: Graph, k: int, r: int, seed: int,
-                         config: SolveConfig) -> SolveOutcome:
+def _solve_by_paw_kernel(g: Graph, k: int, r: int, config: SolveConfig) -> SolveOutcome:
     res = kernel_paw_like(g, k, r)
-    if res.verdict == "solved_yes":
-        wit = tuple(sorted(res.witness))
-        return SolveOutcome(True, wit[:k] if k > 0 else wit, k,
-                            f"kernel r={r}", seed, res.trace)
-    if res.verdict == "solved_no":
-        return SolveOutcome(False, (), k, f"kernel r={r}", seed, res.trace)
+    if res.solved:
+        found = res.witness if res.verdict == "solved_yes" else None
+        return _decided(g, k, found, f"kernel r={r}", res.trace)
     exact = alpha_exact(g, config.budget, mask=res.kept)
-    wit = exact.witness[:k]
-    ok = exact.alpha >= k
-    return SolveOutcome(ok, wit if ok else (), k, f"kernel r={r} + exact", seed, res.trace)
+    return _decided(g, k, exact.witness if exact.alpha >= k else None,
+                    f"kernel r={r} + exact", res.trace)
 
 
 # -- iterative expansion -------------------------------------------------------
 
 def _expansion_solve(g: Graph, k: int, f_k: int, faug_runner, rng: random.Random,
-                     config: SolveConfig, method: str, seed: int) -> SolveOutcome:
+                     config: SolveConfig, method: str) -> SolveOutcome:
     """Run the expansion driver with the Ramsey stage and the family's
     rainbow solver as its expansion step.  The step only has to be sound:
     the driver's own vertex branching closes whatever the desk-mode caps
@@ -265,9 +259,7 @@ def _expansion_solve(g: Graph, k: int, f_k: int, faug_runner, rng: random.Random
     stage = StageConfig(faithful=config.faithful)
 
     def batch_size(kk: int) -> int:
-        if config.faithful:
-            return g_faithful(kk, f_k)
-        return f_k + EXTRA_SEED_SETS
+        return g_faithful(kk, f_k) if config.faithful else f_k + EXTRA_SEED_SETS
 
     def expansion(gg: Graph, kk: int, sets, solve) -> tuple[int, ...] | None:
         # the driver has branched on the seed sets: what is left avoids them
@@ -287,8 +279,5 @@ def _expansion_solve(g: Graph, k: int, f_k: int, faug_runner, rng: random.Random
         return None
 
     wit = iterexp_driver(g, k, batch_size, expansion)
-    notes = [f"structured instances tried: {stats['instances']}"
-             f" (hits: {stats['structured_hits']})"]
-    if wit is not None:
-        return SolveOutcome(True, tuple(sorted(wit)), k, method, seed, notes)
-    return SolveOutcome(False, (), k, method, seed, notes)
+    return _decided(g, k, wit, method, [f"structured instances tried: {stats['instances']}"
+                                        f" (hits: {stats['structured_hits']})"])

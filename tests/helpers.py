@@ -45,13 +45,14 @@ def near_clique(rng: random.Random, extra: tuple[int, int], p: float) -> Graph:
     return Graph(c + b, edges)
 
 
+def is_witness(g: Graph, witness, k: int) -> bool:
+    """``witness`` is max(k, 0) distinct vertices, independent in G."""
+    return len(set(witness)) == len(witness) == max(k, 0) and g.is_independent_set(witness)
+
+
 def check_yes_witness(g: Graph, out, k: int) -> None:
-    """A yes carries an independent witness of at least k vertices.  Only
-    the paper pipeline's Turing-kernel route may answer yes without one."""
-    if not out.witness and out.method.startswith("turing kernel"):
-        return
-    assert len(set(out.witness)) >= k, (out.method, out.witness, k)
-    assert g.is_independent_set(out.witness), (out.method, out.witness)
+    """A yes carries an independent witness of exactly max(k, 0) vertices."""
+    assert is_witness(g, out.witness, k), (out.method, out.witness, k)
 
 
 def random_cograph(n_ops: int, rng) -> Graph:

@@ -30,7 +30,7 @@ from hfree_mis.ramsey import ceil_root, eh_extract
 from hfree_mis.classify import verdict
 from hfree_mis.solver import solve_hfree, solve_paper
 
-from helpers import check_yes_witness
+from helpers import check_yes_witness, is_witness
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -131,7 +131,8 @@ def test_criterion_2_kernels():
     for g in star_free:
         truth = alpha_exact(g).alpha
         for k in range(1, 6):
-            if solve_via_turing(g, k, 5) != (truth >= k):
+            wit = solve_via_turing(g, k, 5)
+            if (wit is not None) != (truth >= k) or (wit is not None and not is_witness(g, wit, k)):
                 turing_failures += 1
     ok = size_bound_failures == 0 and decision_failures == 0 and turing_failures == 0
     _report("2", ok,

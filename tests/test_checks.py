@@ -87,6 +87,12 @@ def test_complement_sites():
     assert found == [], f"complements built outside the allowed sites: {found}"
 
 
+def test_outcomes_are_built_by_the_checked_builder():
+    # every solver route's outcome passes the one witness check
+    found = _calls_outside("SolveOutcome", {("solver", "_decided")})
+    assert found == [], f"SolveOutcome built outside solver._decided: {found}"
+
+
 # public functions with a ``mask`` parameter that need not call vertex_mask
 UNCHECKED_MASK_ENTRIES = {
     ("graph", "Graph"),          # unchecked primitives, reached with checked masks
@@ -152,14 +158,20 @@ def test_mask_entries_reject_foreign_masks(name):
 
 def test_internal_check_survives_optimize_flag():
     script = (
+        "from hfree_mis import solver\n"
         "from hfree_mis.cograph import cograph_alpha\n"
         "from hfree_mis.errors import InternalCheckError\n"
         "from hfree_mis.graph import Graph\n"
+        "solver.greedy_independent_set = lambda g: g.full_mask\n"
+        "try:\n"
+        "    solver.solve_hfree(Graph(3, [(0, 1)]), 3, 'gem')\n"
+        "except InternalCheckError:\n"
+        "    print('raised by _decided')\n"
         "Graph.is_independent_mask = lambda self, mask: False\n"
         "try:\n"
         "    cograph_alpha(Graph(3, [(0, 1)]))\n"
         "except InternalCheckError:\n"
-        "    print('raised')\n"
+        "    print('raised by cograph_alpha')\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -167,7 +179,7 @@ def test_internal_check_survives_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "raised"
+    assert proc.stdout.split("\n") == ["raised by _decided", "raised by cograph_alpha", ""]
 
 
 def _budget_defaults(tree: ast.AST):

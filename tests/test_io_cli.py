@@ -217,6 +217,32 @@ def test_cli_solve_modes(tmp_path, capsys):
         assert "independent set of size 3: no" in out
 
 
+def test_cli_turing_route_prints_its_witness(tmp_path, capsys):
+    """A yes of the paper's Turing-kernel route prints k independent
+    vertices, with no note about a missing witness."""
+    rng = random.Random(92)
+    g = near_clique(rng, (2, 7), 0.7)
+    while find_induced(g, clique_minus_star(5, 3)) is not None:
+        g = near_clique(rng, (2, 7), 0.7)
+    path = _write_graph(tmp_path, g)
+    k = alpha_exact(g).alpha
+    assert main(["solve", "--input", path, "--pattern", "K5-K1,3", "--k", str(k),
+                 "--mode", "desk"]) == 0
+    out = capsys.readouterr().out
+    assert "method = turing kernel r=5\n" in out and f"size {k}: yes" in out
+    assert "note:" not in out
+    witness = [int(tok) - 1 for tok in re.search(r"(?m)^witness = (.*)$", out).group(1).split()]
+    assert len(set(witness)) == len(witness) == k and g.is_independent_set(witness)
+
+
+def test_cli_turing_kernel_on_an_empty_graph(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("p 0 0\n")
+    assert main(["kernel", "--input", str(path), "--family", "turing", "--k", "2",
+                 "--r", "5"]) == 0
+    assert "subinstances = 0 " in capsys.readouterr().out
+
+
 def _kernel_cli_inputs():
     """(name, graph, family, r, ks): seeded inputs reaching every kernel
     outcome the CLI prints: reduced and solved instances, emitted Turing

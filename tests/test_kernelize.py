@@ -25,7 +25,7 @@ from hfree_mis.patterns import (
 )
 from hfree_mis.ramsey import ramsey_bound
 
-from helpers import near_clique, sample_hfree
+from helpers import is_witness, near_clique, sample_hfree
 
 
 def test_krfree_solves_large_instances():
@@ -127,7 +127,7 @@ def test_turing_connected_required():
     g = disjoint_union(complete(3), complete(3))
     with pytest.raises(ValueError):
         turing_kernel_star(g, 2, 5)
-    assert turing_kernel_star(g, 2, 5, 0b000111).subinstances == [(0b000111, 2)]
+    assert turing_kernel_star(g, 2, 5, 0b000111).subinstances == [(0b000111, 2, ())]
     for mask in (0b1000111, -1):            # a seventh vertex; not a mask
         with pytest.raises(ValueError):
             turing_kernel_star(g, 2, 5, mask)
@@ -139,10 +139,21 @@ def test_turing_small_instances_pass_through():
     assert out.subinstances  # either emitted pieces or the instance itself
 
 
+def test_turing_empty_mask_emits_nothing():
+    # alpha of an empty mask is 0: no subinstance for k >= 1, trivially yes below
+    for g, mask in ((Graph(0), None), (complete(3), 0)):
+        for k in (1, 2, 3):
+            assert turing_kernel_star(g, k, 5, mask).subinstances == []
+        assert turing_kernel_star(g, 0, 5, mask).subinstances == [(0, 0, ())]
+    assert solve_via_turing(Graph(0), 2, 5) is None
+    assert solve_via_turing(Graph(0), 0, 5) == ()
+
+
 def test_turing_driver_component_sum():
     g = disjoint_union(complete(8), complete(1))
-    assert solve_via_turing(g, 2, 5)
-    assert not solve_via_turing(complete(8), 2, 5)
+    wit = solve_via_turing(g, 2, 5)
+    assert wit is not None and is_witness(g, wit, 2)
+    assert solve_via_turing(complete(8), 2, 5) is None
 
 
 def test_turing_driver_violation_names_input_vertices():
@@ -183,7 +194,9 @@ def test_turing_driver_oracle_equivalence():
     for g in graphs:
         a = alpha_exact(g).alpha
         for k in range(1, 6):
-            assert solve_via_turing(g, k, 5) == (a >= k)
+            wit = solve_via_turing(g, k, 5)
+            assert (wit is not None) == (a >= k)
+            assert wit is None or is_witness(g, wit, k), (g.edges(), k, wit)
 
 
 def test_turing_subinstances_are_bounded():
@@ -192,8 +205,12 @@ def test_turing_subinstances_are_bounded():
     for g in graphs:
         for comp in g.connected_components():
             out = turing_kernel_star(g, 4, 5, comp)
-            for j_mask, j_k in out.subinstances:
+            for j_mask, j_k, guessed in out.subinstances:
                 assert j_mask & ~comp == 0
+                # the guessed vertices are independent, and the piece avoids
+                # their closed neighbourhoods
+                m = mask_of(guessed)
+                assert g.is_independent_mask(m) and j_mask & (g.neighborhood(m) | m) == 0
                 if j_mask == comp:
                     continue  # passed-through small instance
                 assert j_mask.bit_count() < ramsey_bound(3, max(j_k, 1)) or j_k <= 0
@@ -207,7 +224,9 @@ def test_isolated_clique_route():
     for g in graphs:
         a = alpha_exact(g).alpha
         for k in range(1, 5):
-            assert solve_via_isolated_clique(g, k, 4) == (a >= k)
+            wit = solve_via_isolated_clique(g, k, 4)
+            assert (wit is not None) == (a >= k)
+            assert wit is None or is_witness(g, wit, k), (g.edges(), k, wit)
 
 
 def test_isolated_clique_violation_names_input_vertices():
@@ -261,4 +280,4 @@ def test_turing_routes_charge_one_budget(monkeypatch, route, h, r, n, seed):
     with pytest.raises(BudgetExceededError) as err:
         route(g, k, r, budget=max(calls))
     assert err.value.budget == max(calls) < err.value.nodes_used
-    assert route(g, k, r, budget=sum(calls)) is False
+    assert route(g, k, r, budget=sum(calls)) is None

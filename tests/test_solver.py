@@ -7,6 +7,7 @@ from hfree_mis import solver
 from hfree_mis.errors import InternalCheckError, PatternViolationError, UnsupportedPatternError
 from hfree_mis.graph import Graph, complement, mask_of, random_graph
 from hfree_mis.induced import find_induced
+from hfree_mis.kernelize import KernelResult
 from hfree_mis.oracle import alpha_exact
 from hfree_mis.patterns import complete, pattern
 from hfree_mis.solver import SolveConfig, solve_hfree, solve_paper
@@ -146,11 +147,20 @@ def test_methods_name_the_deciding_step():
     assert (out.decision, out.method) == (False, "exact")
 
 
-def test_broken_witness_raises_internal_check(monkeypatch):
-    g = pattern("C5").graph
-    monkeypatch.setattr(solver, "greedy_independent_set", lambda g: g.full_mask)
+@pytest.mark.parametrize("solve, g, k, h, name, broken", [
+    (solve_hfree, pattern("C5").graph, 3, "gem", "greedy_independent_set",
+     lambda g: g.full_mask),
+    (solve_paper, complete(6), 2, "K5-K1,2", "kernel_paw_like",
+     lambda g, k, r: KernelResult("solved_yes", (0, 1))),
+    (solve_paper, complete(6), 2, "K5-K1,3", "solve_via_turing",
+     lambda g, k, r, budget: (0, 1)),
+], ids=["greedy", "paw-kernel", "turing"])
+def test_broken_witness_raises_internal_check(monkeypatch, solve, g, k, h, name, broken):
+    """A route that hands back a set that is not independent is caught
+    before the outcome leaves, on either entry."""
+    monkeypatch.setattr(solver, name, broken)
     with pytest.raises(InternalCheckError):
-        solve_hfree(g, 3, "gem")
+        solve(g, k, h)
 
 
 def test_p3_route_internal_check(monkeypatch):
