@@ -40,6 +40,11 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _named_vertices(label: str, vertices) -> str:
+    """``label`` followed by the vertices' 1-based input ids."""
+    return " ".join([label, *(str(v + 1) for v in vertices)])
+
+
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -100,9 +105,15 @@ def cmd_kernel(args) -> int:
             for note in out.notes:
                 print(f"{prefix}note: {note}")
             if args.output:
-                for idx, (sub_mask, kk, _guessed) in enumerate(out.subinstances):
-                    sub, _kept = g.induced(sub_mask)
-                    parts.append(emit_graph(sub, comments=(f"{prefix}subinstance {idx} parameter {kk}",)))
+                # a piece's vertex i is input vertex kept[i]; its set of kk
+                # vertices plus the guessed ones solves the input, and a
+                # solved piece (parameter 0) names its whole set as found
+                for idx, (sub_mask, kk, guessed) in enumerate(out.subinstances):
+                    sub, kept = g.induced(sub_mask)
+                    parts.append(emit_graph(sub, comments=(
+                        f"{prefix}subinstance {idx} parameter {kk}",
+                        _named_vertices("kept", kept),
+                        _named_vertices("guessed" if kk else "found", guessed))))
         if args.output:
             _write(args.output, "".join(parts))
         return 0
@@ -115,8 +126,7 @@ def cmd_kernel(args) -> int:
         print(f"reduced: n = {res.kept.bit_count()}, k = {args.k}")
         if args.output:
             sub, kept = g.induced(res.kept)
-            names = " ".join(str(v + 1) for v in kept)
-            _write(args.output, emit_graph(sub, comments=(f"kept {names}",)))
+            _write(args.output, emit_graph(sub, comments=(_named_vertices("kept", kept),)))
     elif res.verdict == "solved_yes":
         print(f"witness = {' '.join(str(v + 1) for v in sorted(res.witness))}")
     return 0

@@ -118,9 +118,15 @@ class Graph:
         return sum(self.adj[v].bit_count() for v in range(self.n)) // 2
 
     def is_clique_mask(self, mask: int) -> bool:
-        for v in bits(mask):
-            if mask & ~self.adj[v] & ~(1 << v):
+        """Whether ``mask`` lies inside the common closed neighbourhood of
+        its members, that is, its vertices are pairwise adjacent."""
+        adj = self.adj
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if mask & (adj[low.bit_length() - 1] | low) != mask:
                 return False
+            rest ^= low
         return True
 
     def is_independent_mask(self, mask: int) -> bool:

@@ -12,6 +12,14 @@ sets of size 8(p+1)k^2 correspond exactly to feasible tilings.  One map,
 ``ConstructionOutput.clique_at``, names the vertices: (i, j, clique key) ->
 that clique's vertices, whose a-th stands for tile (i, j)'s a-th pair.
 
+The build makes one gadget template per distinct tile, its rows over the
+gadget's own 8(p+1)n_t vertices (one template serves every tile of the
+second and third variants, whose gadgets ignore the tile's pairs), shifts
+it into place per tile and then adds only the inter-gadget joins.  It
+checks every main clique of the finished graph (InternalCheckError), and
+``construction_alpha_reaches`` hands the oracle the main cliques as block
+masks, a clique cover the oracle checks again.
+
 Edge types between consecutive cliques:
 
 * half graph: a-th vertex adjacent to b-th iff a > b;
@@ -34,7 +42,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import InternalCheckError
-from .graph import Graph, join, mask_of
+from .graph import Graph, join
 from .induced import find_induced
 from .oracle import DEFAULT_BUDGET, alpha_reaches
 from .patterns import HPattern, cycle as cycle_graph, star
@@ -170,23 +178,57 @@ def _cross_rows(kind: str, src_elems, dst_elems) -> tuple[list[int], list[int]]:
     clique indices: ``rows[a]`` holds the b joined to the source's a-th
     vertex, ``cols[b]`` the a joined to the target's b-th."""
     n = len(src_elems)
-    rows, cols = [0] * n, [0] * n
-    for a in range(n):
-        for b in range(n):
-            if kind == "half":
-                connect = a > b
-            elif kind == "row":
-                connect = src_elems[a][0] < dst_elems[b][0]
-            elif kind == "col":
-                connect = src_elems[a][1] < dst_elems[b][1]
-            elif kind == "anti":
-                connect = a != b
-            else:
-                raise ValueError(kind)
-            if connect:
-                rows[a] |= 1 << b
-                cols[b] |= 1 << a
-    return rows, cols
+    full = (1 << n) - 1
+    if kind == "anti":
+        rows = [full ^ (1 << a) for a in range(n)]
+        return rows, rows
+    if kind == "half":
+        return [(1 << a) - 1 for a in range(n)], [full ^ ((2 << b) - 1) for b in range(n)]
+    if kind not in ("row", "col"):
+        raise ValueError(kind)
+    c = 0 if kind == "row" else 1
+    top = max(e[c] for e in (*src_elems, *dst_elems)) + 1
+    # the indices holding each value, then, in one sweep over the values,
+    # the target indices above each value and the source indices below it
+    src_at, dst_at = [0] * top, [0] * top
+    for a, e in enumerate(src_elems):
+        src_at[e[c]] |= 1 << a
+    for b, e in enumerate(dst_elems):
+        dst_at[e[c]] |= 1 << b
+    above, below = [0] * top, [0] * top
+    for v in range(1, top):
+        below[v] = below[v - 1] | src_at[v - 1]
+        above[top - 1 - v] = above[top - v] | dst_at[top - v]
+    return [above[e[c]] for e in src_elems], [below[e[c]] for e in dst_elems]
+
+
+def _join(adj: list[int], rows_cols, src: int, dst: int) -> None:
+    """Add ``_cross_rows`` edges between the cliques starting at vertices
+    ``src`` and ``dst`` of ``adj``."""
+    rows, cols = rows_cols
+    for a, row in enumerate(rows):
+        adj[src + a] |= row << dst
+    for b, col in enumerate(cols):
+        adj[dst + b] |= col << src
+
+
+def _gadget_rows(tile: tuple[tuple[int, int], ...], variant: str, p: int, start: dict,
+                 arcs: list[_Arc]) -> list[int]:
+    """Adjacency rows of one tile's gadget over its own 8(p+1)n_t vertices,
+    clique key ``key`` on the n_t vertices from ``start[key]``."""
+    n_t = len(tile)
+    block = (1 << n_t) - 1
+    rows = [(block << off) ^ (1 << v) for off in start.values() for v in range(off, off + n_t)]
+    kinds = ("half", "row", "col") if variant == "first" else ("anti",)
+    inner = {kind: _cross_rows(kind, tile, tile) for kind in kinds}
+    for arc in arcs:
+        _join(rows, inner[arc.kind if variant == "first" else "anti"], start[arc.src], start[arc.dst])
+    if variant == "third":
+        cyc = 4 * p + 4
+        for attach in (0, p + 1, 2 * p + 2, 3 * p + 3):
+            _join(rows, inner["anti"], start[("cycle", (attach - 1) % cyc)],
+                  start[("cycle", (attach + 1) % cyc)])
+    return rows
 
 
 def build_tile_gadget(tile: tuple[tuple[int, int], ...], p: int, variant: str) -> ConstructionOutput:
@@ -210,58 +252,41 @@ def _build(gt: GridTiling, variant: str, p: int, connect_gadgets: bool) -> Const
     per_gadget = len(keys)
     if per_gadget != 8 * (p + 1):
         raise InternalCheckError(f"gadget layout has {per_gadget} keys, expected {8 * (p + 1)}")
+    key_start = {key: idx * n_t for idx, key in enumerate(keys)}
+    width = per_gadget * n_t
 
-    # each clique is a block of n_t consecutive vertices, gadget by gadget
-    key_index = {key: idx for idx, key in enumerate(keys)}
-
-    def offset(i, j, key):
-        return ((i * k + j) * per_gadget + key_index[key]) * n_t
-
-    adj = [0] * (k * k * per_gadget * n_t)
-    block = (1 << n_t) - 1
-
-    def join_cliques(rows_cols, src, dst):
-        rows, cols = rows_cols
-        for a, row in enumerate(rows):
-            adj[src + a] |= row << dst
-        for b, col in enumerate(cols):
-            adj[dst + b] |= col << src
-
-    cyc = 4 * p + 4
-    for i in range(k):
-        for j in range(k):
-            for key in keys:
-                off = offset(i, j, key)
-                for v in range(off, off + n_t):
-                    adj[v] |= (block << off) ^ (1 << v)
-            elems = gt.tiles[i][j]
-            kinds = ("half", "row", "col") if variant == "first" else ("anti",)
-            inner = {kind: _cross_rows(kind, elems, elems) for kind in kinds}
-            for arc in arcs:
-                kind = arc.kind if variant == "first" else "anti"
-                join_cliques(inner[kind], offset(i, j, arc.src), offset(i, j, arc.dst))
-            if variant == "third":
-                for attach in (0, p + 1, 2 * p + 2, 3 * p + 3):
-                    join_cliques(inner["anti"], offset(i, j, ("cycle", (attach - 1) % cyc)),
-                                 offset(i, j, ("cycle", (attach + 1) % cyc)))
+    # gadget (i, j) is its tile's template shifted up by (i k + j) width
+    # vertices; the second and third variants' template is the same for
+    # every tile
+    templates: dict = {}
+    adj: list[int] = []
+    for tiles in gt.tiles:
+        for tile in tiles:
+            shape = tile if variant == "first" else None
+            if shape not in templates:
+                templates[shape] = _gadget_rows(tile, variant, p, key_start, arcs)
+            base = len(adj)
+            adj.extend([row << base for row in templates[shape]])
 
     if connect_gadgets:
+        right, left = key_start[_port_key("right", p)], key_start[_port_key("left", p)]
+        bottom, top = key_start[_port_key("bottom", p)], key_start[_port_key("top", p)]
         for i in range(k):
             for j in range(k):
-                join_cliques(_cross_rows("row", gt.tiles[i][j], gt.tiles[i][(j + 1) % k]),
-                             offset(i, j, _port_key("right", p)),
-                             offset(i, (j + 1) % k, _port_key("left", p)))
-                join_cliques(_cross_rows("col", gt.tiles[i][j], gt.tiles[(i + 1) % k][j]),
-                             offset(i, j, _port_key("bottom", p)),
-                             offset((i + 1) % k, j, _port_key("top", p)))
+                here = (i * k + j) * width
+                _join(adj, _cross_rows("row", gt.tiles[i][j], gt.tiles[i][(j + 1) % k]),
+                      here + right, (i * k + (j + 1) % k) * width + left)
+                _join(adj, _cross_rows("col", gt.tiles[i][j], gt.tiles[(i + 1) % k][j]),
+                      here + bottom, (((i + 1) % k) * k + j) * width + top)
     graph = Graph.from_adj(adj)
+    block = (1 << n_t) - 1
     clique_at = {}
     for i in range(k):
         for j in range(k):
-            for key in keys:
-                off = offset(i, j, key)
+            for key, start in key_start.items():
+                off = (i * k + j) * width + start
                 vs = clique_at[(i, j, key)] = tuple(range(off, off + n_t))
-                if not graph.is_clique(vs):
+                if not graph.is_clique_mask(block << off):
                     raise InternalCheckError(f"main clique {vs} is not a clique")
     return ConstructionOutput(graph, 8 * (p + 1) * k * k, variant, p, gt, clique_at)
 
@@ -311,7 +336,8 @@ def project_solution(independent: tuple[int, ...], out: ConstructionOutput):
 def construction_alpha_reaches(out: ConstructionOutput, budget: int = DEFAULT_BUDGET) -> bool:
     """Does the construction have an independent set of size k_prime?
     A k-target search with the main cliques as the pruning cover."""
-    cover = [mask_of(vs) for vs in out.main_cliques]
+    block = (1 << out.gt.tile_size) - 1
+    cover = [block << vs[0] for vs in out.clique_at.values()]
     return alpha_reaches(out.graph, out.k_prime, budget, cover) is not None
 
 

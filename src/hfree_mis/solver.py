@@ -94,7 +94,9 @@ def solve_hfree(g: Graph, k: int, h: HPattern | Graph | str, seed: int = 0,
     """Decide whether G has an independent set of size k, given that G is
     H-free for a supported pattern H.  Unsupported patterns raise, never
     fall back silently.  ``method`` is ``greedy`` or ``exact``, naming the
-    step that decided."""
+    step that decided.  ``seed`` is accepted, as callers that also run
+    ``solve_paper`` pass one, but nothing reads it: no step draws random
+    numbers."""
     budget = config.budget if config else DEFAULT_BUDGET
     if _recognize(h) is None:
         return _solve_p3_free(g, k)

@@ -104,6 +104,21 @@ def test_components_partition_vertices():
             assert best & ~mask == 0 and is_clique[best] and best.bit_count() == omega[mask]
 
 
+def test_clique_mask_matches_pairwise_definition():
+    # every mask of seeded graphs with n <= 10, the empty mask and the
+    # singletons included: a clique is a set of pairwise adjacent vertices
+    rng = random.Random(5)
+    assert Graph(0).is_clique_mask(0)
+    largest = 0
+    for n in list(range(1, 11)) + [9, 10]:
+        g = random_graph(n, rng.choice((0.3, 0.5, 0.7, 0.9)), rng)
+        for mask in range(1 << n):
+            pairwise = all(g.has_edge(u, v) for u, v in combinations(bits(mask), 2))
+            assert g.is_clique_mask(mask) == pairwise
+            largest = max(largest, mask.bit_count() if pairwise else 0)
+    assert largest >= 5
+
+
 def _masks(g, rng):
     yield None
     yield 0

@@ -4,6 +4,8 @@ from itertools import combinations, product
 
 import pytest
 
+from hfree_mis import hardness
+from hfree_mis.errors import InternalCheckError
 from hfree_mis.graph import Graph, bits, mask_of, random_graph
 from hfree_mis.hardness import (
     VARIANTS,
@@ -19,7 +21,7 @@ from hfree_mis.hardness import (
     verify_exclusions,
 )
 from hfree_mis.induced import find_induced
-from hfree_mis.oracle import alpha_exact
+from hfree_mis.oracle import alpha_exact, alpha_reaches
 from hfree_mis.patterns import HPattern, cycle, pattern, star
 
 from helpers import random_graphs
@@ -127,6 +129,64 @@ def test_construction_build_is_pinned():
                   sorted(out.clique_at.items()), sorted(out.cycle_cliques.items()), out.k_prime)
         total.update(hashlib.sha256(repr(record).encode()).hexdigest().encode())
     assert total.hexdigest() == PINNED_CONSTRUCTIONS
+
+
+# sha256 over the witnesses alpha_reaches returns inside
+# construction_alpha_reaches on _reach_instances(), recorded when the cover
+# was built with mask_of over the main cliques' vertex tuples
+PINNED_REACH_WITNESSES = "c4bfd19dac78d5b9bed418ccc78fbf493de6f735b9fe0677091d4c21411982a3"
+
+
+def _reach_instances():
+    rng = random.Random(79)
+    for k, m, n_t in ((2, 3, 3), (3, 3, 2)):
+        for variant in VARIANTS:
+            for planted in (True, False):
+                for _ in range(2):
+                    gt, _ = gen_grid_tiling(k, m, n_t, planted, rng)
+                    yield gt, build_construction(gt, variant, 1)
+
+
+def test_reach_witnesses_are_pinned(monkeypatch):
+    """The main-clique cover searches the same tree however it is built:
+    every variant, k = 2 and 3, planted and not, feasible and not."""
+    found = []
+
+    def recording(*args, **kwargs):
+        found.append(alpha_reaches(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(hardness, "alpha_reaches", recording)
+    total = hashlib.sha256()
+    kinds = set()
+    for gt, out in _reach_instances():
+        reached = construction_alpha_reaches(out)
+        witness = found[-1]
+        assert reached == (witness is not None) == (brute_force_feasible(gt) is not None)
+        if reached:
+            assert len(witness) == out.k_prime and out.graph.is_independent_set(witness)
+        kinds.add((gt.k, out.variant, reached))
+        total.update(repr((gt.k, out.variant, witness)).encode())
+    assert kinds == {(k, v, r) for k in (2, 3) for v in VARIANTS for r in (True, False)}
+    assert total.hexdigest() == PINNED_REACH_WITNESSES
+
+
+def test_broken_template_clique_raises(monkeypatch):
+    """The build checks every main clique of the finished graph, so a gadget
+    template missing one edge inside its first clique is caught."""
+    template = hardness._gadget_rows
+
+    def broken(*args):
+        rows = template(*args)
+        rows[0] &= ~0b10
+        rows[1] &= ~0b01
+        return rows
+
+    monkeypatch.setattr(hardness, "_gadget_rows", broken)
+    gt, _ = gen_grid_tiling(2, 3, 2, True, random.Random(13))
+    for variant in VARIANTS:
+        with pytest.raises(InternalCheckError, match=r"main clique \(0, 1\) is not a clique"):
+            build_construction(gt, variant, 1)
 
 
 def test_infeasible_construction_alpha_short():

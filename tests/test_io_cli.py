@@ -267,9 +267,11 @@ def _kernel_cli_inputs():
 
 
 # sha256 over the stdout, stderr and --output file of every run of
-# test_cli_kernel_output_is_pinned; recorded before the kernels named their
-# subgraphs by vertex masks
-CLI_KERNEL_DIGEST = "4090c19b26fa586fa6497564e1b858052924c1e2875d72e9381ad027e72c2b2e"
+# test_cli_kernel_output_is_pinned; recorded when the Turing pieces' files
+# first named their kept input ids and guessed (or found) vertices, every
+# other output unchanged since before the kernels named their subgraphs by
+# vertex masks
+CLI_KERNEL_DIGEST = "ccb8923aa7cf236bade7f2b74e5ba7527982a5f052874497d1a3a2309005f42b"
 
 
 def test_cli_kernel_output_is_pinned(tmp_path, capsys):
@@ -290,7 +292,9 @@ def test_cli_turing_kernel_runs_per_component(tmp_path, capsys):
     """A disconnected input is kernelized per component and per target
     1..k, with every printed line and written piece headed by its component
     and target; a component answers its largest target with a yes piece,
-    which is its alpha capped at k."""
+    which is its alpha capped at k.  Each piece names its vertices' input ids
+    and the guessed vertices (a solved piece its found set), so a yes piece's
+    set lifts to an independent set of the target's size in the input."""
     rng = random.Random(91)
     core = near_clique(rng, (2, 7), 0.7)
     while find_induced(core, clique_minus_star(5, 3)) is not None:
@@ -310,10 +314,18 @@ def test_cli_turing_kernel_runs_per_component(tmp_path, capsys):
         yes = {head: False for head in printed}
         counts = dict.fromkeys(printed, 0)
         for piece in re.split(r"(?m)^(?=c component)", out_path.read_text())[1:]:
-            head, kk = re.match(r"c (component \d+ target \d+): subinstance \d+ "
-                                r"parameter (\d+)", piece).groups()
+            head, target, kk, kept, named, guessed = re.match(
+                r"c (component \d+ target (\d+)): subinstance \d+ parameter (\d+)\n"
+                r"c kept((?: \d+)*)\nc (guessed|found)((?: \d+)*)\n", piece).groups()
             counts[head] += 1
-            yes[head] |= alpha_exact(parse_graph(piece)).alpha >= int(kk)
+            kk, kept, guessed = int(kk), [int(v) - 1 for v in kept.split()], \
+                [int(v) - 1 for v in guessed.split()]
+            assert (named == "found") == (kk == 0)
+            sub = alpha_exact(parse_graph(piece))
+            if sub.alpha >= kk:
+                yes[head] = True
+                found = guessed + [kept[v] for v in sub.witness[:kk]]
+                assert len(set(found)) == int(target) and g.is_independent_set(found)
         assert counts == {head: int(n) for head, n in printed.items()}
         for c, alpha in enumerate(alphas):
             answers = [i for i in range(1, k + 1) if yes[f"component {c} target {i}"]]
