@@ -128,8 +128,5 @@ def solve_cluster_free(g: Graph, k: int, r: int, q: int, mask: int | None = None
     try:
         solve(mask, q, ())
     except _Found as hit:
-        wit = tuple(bits(hit.mask))
-        if len(wit) < k or not g.is_independent_set(wit):
-            raise InternalCheckError(f"witness {wit} is not an independent set of size {k}")
-        return ClusterResult(True, wit, insertions)
+        return ClusterResult(True, g.checked_witness(bits(hit.mask), k, "cluster"), insertions)
     return ClusterResult(False, (), insertions)

@@ -2,24 +2,24 @@
 forbidden patterns: clique minus a triangle, clique minus a complete
 bipartite graph, and the gem.
 
-Every solver either returns an independent set of size >= k (always
-verified before returning), reports that no independent set meets every
-part, or raises PatternViolationError with an embedding when the host graph
-turns out not to be H-free after all.  The randomized ones never report a
-false positive; misses are controlled by their repetition counts.  They
-work on the instance's vertex mask of its graph, so witnesses and
+Every solver answers like the driver's own subproblems: a witness, that
+is a sorted tuple of at least k independent vertices that has passed
+``Graph.checked_witness``, or None when it finds no independent set meeting
+every part.  It raises PatternViolationError with an embedding when the
+host graph turns out not to be H-free after all.  The randomized ones never
+report a false positive; misses are controlled by their repetition counts.
+They work on the instance's vertex mask of its graph, so witnesses and
 embeddings are in that graph's vertex ids.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
 from .cluster import solve_cluster_free
-from .cograph import cograph_alpha, cograph_decompose, find_p4
+from .cograph import cograph_decompose
 from .errors import InternalCheckError, PatternViolationError
 from .graph import Graph, bits, mask_of
 from .iterexp import FaugInstance
@@ -27,24 +27,13 @@ from .ramsey import ramsey_bound, ramsey_extract
 
 MisCallback = Callable[[int, int], "tuple[int, ...] | None"]
 """Complete decider used for branching, called as ``callback(mask, k)`` on
-a vertex mask of the instance's graph: a witness of size k inside G[mask]
-in the graph's vertex ids, or None when alpha(G[mask]) < k."""
+a vertex mask of the instance's graph.  It answers in the solvers' own
+shape: a witness of size k inside G[mask] in the graph's vertex ids, or
+None when alpha(G[mask]) < k."""
 
 
-@dataclass(frozen=True)
-class FaugResult:
-    found: bool
-    witness: tuple[int, ...] = ()
-    reason: str = ""
-
-
-def _verify_found(g: Graph, vertices: tuple[int, ...], k: int) -> FaugResult:
-    if len(set(vertices)) < k or not g.is_independent_set(vertices):
-        raise InternalCheckError(f"found {vertices} is not an independent set of size {k}")
-    return FaugResult(True, tuple(sorted(vertices)), "independent set found")
-
-
-def _branch_on_part(inst: FaugInstance, part_idx: int, callback: MisCallback) -> FaugResult:
+def _branch_on_part(inst: FaugInstance, part_idx: int,
+                    callback: MisCallback) -> tuple[int, ...] | None:
     """Decide the instance by branching on every vertex of one part.
 
     Sound and complete given a complete callback: every rainbow set meets
@@ -54,8 +43,8 @@ def _branch_on_part(inst: FaugInstance, part_idx: int, callback: MisCallback) ->
     for v in bits(inst.parts[part_idx]):
         wit = callback(inst.mask & ~g.closed_neighborhood(v), inst.k - 1)
         if wit is not None:
-            return _verify_found(g, wit + (v,), inst.k)
-    return FaugResult(False, (), f"no independent set of size k meets part {part_idx}")
+            return g.checked_witness(wit + (v,), inst.k, "branching")
+    return None
 
 
 def _rainbow_exhaustive(g: Graph, parts: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -86,7 +75,7 @@ def solve_faug_clique_minus_triangle(
     callback: MisCallback,
     separation_rounds: int = 1024,
     part_threshold: int | None = None,
-) -> FaugResult:
+) -> tuple[int, ...] | None:
     """Rainbow solver for hosts excluding the complete graph on r+3 vertices
     minus a triangle; extracted cliques have size r.
 
@@ -96,28 +85,46 @@ def solve_faug_clique_minus_triangle(
     """
     g, k = inst.graph, inst.k
     if k == 1:
-        return _verify_found(g, (next(bits(inst.parts[0])),), 1)
+        return g.checked_witness((next(bits(inst.parts[0])),), 1, "single part")
     if any(len(cl) != r for cl in inst.cliques.cliques):
         raise ValueError("extracted cliques must have size r")
     threshold = ramsey_bound(r, k) if part_threshold is None else part_threshold
 
-    for p in inst.parts:
+    part_cliques: dict[int, tuple[int, ...]] = {}
+    for i, p in enumerate(inst.parts):
         if p.bit_count() >= ramsey_bound(r, k):
             out = ramsey_extract(g, r, k, p)
             if out.kind == "independent_set":
-                return _verify_found(g, out.members, k)
+                return g.checked_witness(out.members, k, "Ramsey extraction")
+            part_cliques[i] = out.members
     small = min(range(k), key=lambda i: inst.parts[i].bit_count())
     if inst.parts[small].bit_count() < threshold:
         return _branch_on_part(inst, small, callback)
 
-    order = _check_bip_path(inst, r)
-    if isinstance(order, FaugResult):
-        return order
-    parts = tuple(inst.parts[i] for i in order)
+    # the host class forces the part/clique bipartite graph to be a path
+    for i in range(k):
+        if inst.bip[i].bit_count() > 2:
+            if i not in part_cliques:
+                raise ValueError("part sees three cliques but is too small to certify")
+            cs = list(bits(inst.bip[i]))[:3]
+            witness = part_cliques[i] + tuple(inst.cliques.cliques[c][0] for c in cs)
+            raise PatternViolationError(f"K{r + 3}-K3", witness, "part sees three cliques")
+    for ci in range(k - 1):
+        nbr_parts = tuple(p for p, row in zip(inst.parts, inst.bip) if row >> ci & 1)
+        if len(nbr_parts) > 2:
+            # a rainbow set puts an independent triple into three parts
+            # that see the clique, and with it the triple induces the pattern
+            triple = _rainbow_exhaustive(g, nbr_parts[:3])
+            if triple is None:
+                return None
+            raise PatternViolationError(
+                f"K{r + 3}-K3", tuple(inst.cliques.cliques[ci]) + triple,
+                "clique sees three parts")
+    parts = tuple(inst.parts[i] for i in _path_order(inst))
 
     if k <= 4:
         hit = _rainbow_exhaustive(g, parts)
-        return _verify_found(g, hit, k) if hit else FaugResult(False, (), "exhaustive transversal search")
+        return None if hit is None else g.checked_witness(hit, k, "transversal search")
 
     long_pairs = [(i, j) for i in range(1, k - 1) for j in range(i + 2, k - 1)]
     for x1 in bits(parts[0]):
@@ -146,42 +153,15 @@ def solve_faug_clique_minus_triangle(
                     kept = middles
                 hit = _path_dp(g, kept)
                 if hit is not None:
-                    return _verify_found(g, (x1, xk) + hit, k)
-    return FaugResult(False, (), "no transversal found (one-sided)")
+                    return g.checked_witness((x1, xk) + hit, k, "path dynamic program")
+    return None
 
 
-def _check_bip_path(inst: FaugInstance, r: int):
-    """Part indices in path order, or a FaugResult / PatternViolationError
-    when the bipartite graph is not the path the host class forces."""
-    g, k = inst.graph, inst.k
-    clique_deg = [0] * (k - 1)
-    for row in inst.bip:
-        for ci in bits(row):
-            clique_deg[ci] += 1
-    for i in range(k):
-        if inst.bip[i].bit_count() > 2:
-            cs = list(bits(inst.bip[i]))[:3]
-            part = inst.parts[i]
-            if part.bit_count() < ramsey_bound(r, k):
-                raise ValueError("part sees three cliques but is too small to certify")
-            out = ramsey_extract(g, r, k, part)
-            if out.kind == "independent_set":
-                return _verify_found(g, out.members, k)
-            witness = out.members + tuple(inst.cliques.cliques[c][0] for c in cs)
-            raise PatternViolationError(f"K{r + 3}-K3", witness, "part sees three cliques")
-    for ci in range(k - 1):
-        if clique_deg[ci] > 2:
-            nbr_parts = [i for i in range(k) if inst.bip[i] >> ci & 1][:3]
-            triple = _independent_transversal_triple(g, [inst.parts[i] for i in nbr_parts])
-            if triple is None:
-                return FaugResult(False, (), "no independent triple across a degree-3 clique")
-            raise PatternViolationError(
-                f"K{r + 3}-K3", tuple(inst.cliques.cliques[ci]) + triple,
-                "clique sees three parts")
-    # connected, max degree 2, k parts vs k-1 cliques: must be a path
+def _path_order(inst: FaugInstance) -> list[int]:
+    """Part indices in path order, for a connected part/clique bipartite
+    graph of maximum degree 2: with k parts and k-1 cliques, a path."""
+    k = inst.k
     ends = [i for i in range(k) if inst.bip[i].bit_count() <= 1]
-    if k == 1:
-        return [0]
     order = [ends[0]]
     used_cliques = 0
     while len(order) < k:
@@ -191,15 +171,6 @@ def _check_bip_path(inst: FaugInstance, r: int):
         nxt = next(i for i in range(k) if i not in order and inst.bip[i] >> ci & 1)
         order.append(nxt)
     return order
-
-
-def _independent_transversal_triple(g: Graph, parts: list[int]) -> tuple[int, ...] | None:
-    for a in bits(parts[0]):
-        for b in bits(parts[1] & ~g.adj[a]):
-            cand = parts[2] & ~g.adj[a] & ~g.adj[b]
-            if cand:
-                return (a, next(bits(cand)), b)
-    return None
 
 
 def _path_dp(g: Graph, parts: list[int]) -> tuple[int, ...] | None:
@@ -232,7 +203,7 @@ def solve_faug_clique_minus_bipartite(
     inst: FaugInstance, r: int,
     callback: MisCallback,
     part_threshold: int | None = None,
-) -> FaugResult:
+) -> tuple[int, ...] | None:
     """Rainbow solver for hosts excluding K_{3r} minus K_{r,r}; extracted
     cliques have size 3r.
 
@@ -242,7 +213,7 @@ def solve_faug_clique_minus_bipartite(
     """
     g, k = inst.graph, inst.k
     if k == 1:
-        return _verify_found(g, (next(bits(inst.parts[0])),), 1)
+        return g.checked_witness((next(bits(inst.parts[0])),), 1, "single part")
     if any(len(cl) != 3 * r for cl in inst.cliques.cliques):
         raise ValueError("extracted cliques must have size 3r")
     threshold = ramsey_bound(r, k) if part_threshold is None else part_threshold
@@ -254,7 +225,7 @@ def solve_faug_clique_minus_bipartite(
         if p.bit_count() >= ramsey_bound(r, k):
             out = ramsey_extract(g, r, k, p)
             if out.kind == "independent_set":
-                return _verify_found(g, out.members, k)
+                return g.checked_witness(out.members, k, "Ramsey extraction")
             part_cliques[i] = out.members
         else:
             small = next(g.cliques(p, r), None)
@@ -327,9 +298,7 @@ def solve_faug_clique_minus_bipartite(
         raise PatternViolationError(
             f"K{3 * r}-K{r},{r}", exc.vertices + mid,
             "two disjoint cliques inside the part union") from None
-    if res.found:
-        return _verify_found(g, res.witness, k)
-    return FaugResult(False, (), "part union has no independent set of size k")
+    return g.checked_witness(res.witness, k, "cluster-free solver") if res.found else None
 
 
 def _check_clique_minus_bipartite(g: Graph, side_a, middle, side_b, r: int) -> None:
@@ -349,7 +318,7 @@ def _check_clique_minus_bipartite(g: Graph, side_a, middle, side_b, r: int) -> N
 def solve_faug_gem(
     inst: FaugInstance, rng: random.Random,
     rounds: int | None = None,
-) -> FaugResult:
+) -> tuple[int, ...] | None:
     """Rainbow solver for gem-free hosts; extracted cliques are single
     vertices, so every part is dominated and induces a cograph.
 
@@ -361,29 +330,25 @@ def solve_faug_gem(
     """
     g, k = inst.graph, inst.k
     if k == 1:
-        return _verify_found(g, (next(bits(inst.parts[0])),), 1)
+        return g.checked_witness((next(bits(inst.parts[0])),), 1, "single part")
     if any(len(cl) != 1 for cl in inst.cliques.cliques):
         raise ValueError("extracted cliques must be single vertices")
     if rounds is None:
         rounds = min(2 ** (k * k + 1), 512)
 
     covers: list[list[int]] = []
-    for i, p in enumerate(inst.parts):
-        p4 = find_p4(g, p)
-        if p4 is not None:
-            dom = inst.cliques.cliques[next(bits(inst.bip[i]))][0]
-            raise PatternViolationError("gem", p4 + (dom,), "path of four inside a dominated part")
-        alpha, wit, cover = cograph_decompose(g, p)
+    for p in inst.parts:
+        alpha, wit, cover = _gem_free_cotree(inst, p, "path of four inside a dominated part")
         if alpha >= k:
-            return _verify_found(g, tuple(bits(wit)), k)
+            return g.checked_witness(bits(wit), k, "cotree")
         covers.append(cover)
 
     for _ in range(rounds):
         for combo in product(*covers):
-            res = _gem_branching(g, k, list(combo), inst, rng)
-            if res.found:
-                return res
-    return FaugResult(False, (), "no transversal found (one-sided)")
+            wit = _gem_branching(g, k, list(combo), inst, rng)
+            if wit is not None:
+                return wit
+    return None
 
 
 def _adjacent_pairs(g: Graph, parts: list[int]) -> list[tuple[int, int]]:
@@ -411,9 +376,9 @@ def _find_balanced_diamond(g: Graph, pi: int, pj: int) -> tuple[int, int, int, i
 
 
 def _gem_branching(g: Graph, k: int, parts: list[int], inst: FaugInstance,
-                   rng: random.Random) -> FaugResult:
+                   rng: random.Random) -> tuple[int, ...] | None:
     if any(p == 0 for p in parts):
-        return FaugResult(False, (), "emptied part")
+        return None
     pairs = _adjacent_pairs(g, parts)
     target = next(((i, j) for i, j in pairs if _find_balanced_diamond(g, parts[i], parts[j]) is None), None)
     if target is None:
@@ -454,29 +419,30 @@ def _gem_branching(g: Graph, k: int, parts: list[int], inst: FaugInstance,
         after = len(_adjacent_pairs(g, br))
         if after >= before:
             raise InternalCheckError("branching must remove a part adjacency")
-        res = _gem_branching(g, k, br, inst, rng)
-        if res.found:
-            return res
-    return FaugResult(False, (), "all branches failed")
+        wit = _gem_branching(g, k, br, inst, rng)
+        if wit is not None:
+            return wit
+    return None
 
 
-def _gem_finish(g: Graph, k: int, parts: list[int], inst: FaugInstance) -> FaugResult:
+def _gem_finish(g: Graph, k: int, parts: list[int],
+                inst: FaugInstance) -> tuple[int, ...] | None:
     union = 0
     for p in parts:
         union |= p
-    total = 0
-    witness = 0
-    for comp in g.connected_components(union):
-        p4 = find_p4(g, comp)
-        if p4 is not None:
-            raise PatternViolationError("gem", p4 + (_path_dominator(inst, p4),),
-                                        "path of four in a cleaned component")
-        a, w = cograph_alpha(g, comp)
-        total += a
-        witness |= w
-    if total >= k:
-        return _verify_found(g, tuple(bits(witness)), k)
-    return FaugResult(False, (), "cleaned components too small")
+    alpha, wit, _ = _gem_free_cotree(inst, union, "path of four in a cleaned component")
+    return g.checked_witness(bits(wit), k, "cotree") if alpha >= k else None
+
+
+def _gem_free_cotree(inst: FaugInstance, mask: int, where: str) -> tuple[int, int, list[int]]:
+    """``cograph_decompose`` of the instance's graph on ``mask``.  A path of
+    four inside the mask, with a vertex of the instance that sees all four,
+    induces a gem: PatternViolationError, saying ``where`` it was found."""
+    try:
+        return cograph_decompose(inst.graph, mask)
+    except PatternViolationError as exc:
+        p4 = exc.vertices
+        raise PatternViolationError("gem", p4 + (_path_dominator(inst, p4),), where) from None
 
 
 def _path_dominator(inst: FaugInstance, p4: tuple[int, ...]) -> int:

@@ -10,13 +10,16 @@ G[mask], found without building the complement), the clique searches
 ``Graph.cliques(mask, r)`` and ``Graph.max_clique(mask)``, and the
 neighbourhood union ``Graph.neighborhood(mask)``.  These take masks
 unchecked; public entries elsewhere check a caller's mask once with
-``Graph.vertex_mask``.  A graph carries no vertex names.
+``Graph.vertex_mask``.  Every layer's witness passes one check,
+``Graph.checked_witness``.  A graph carries no vertex names.
 """
 
 from __future__ import annotations
 
 import random
 from typing import Iterable, Iterator
+
+from .errors import InternalCheckError
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -140,6 +143,18 @@ class Graph:
 
     def is_independent_set(self, vertices: Iterable[int]) -> bool:
         return self.is_independent_mask(mask_of(vertices))
+
+    def checked_witness(self, vertices: Iterable[int], k: int, what: str) -> tuple[int, ...]:
+        """``vertices`` as a sorted tuple, once they are known to be at least
+        max(k, 0) distinct, pairwise non-adjacent vertices of G.  Anything
+        else is a bug of the layer ``what`` names: InternalCheckError."""
+        wit = tuple(sorted(vertices))
+        inside = not wit or 0 <= wit[0] and wit[-1] < self.n
+        if not (len(wit) >= k and inside and len(set(wit)) == len(wit)
+                and self.is_independent_mask(mask_of(wit))):
+            raise InternalCheckError(f"{what} witness {wit} is not an independent set "
+                                     f"of {k} vertices of G")
+        return wit
 
     # -- derived graphs -----------------------------------------------------
 

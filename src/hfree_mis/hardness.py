@@ -303,11 +303,7 @@ def lift_solution(solution, out: ConstructionOutput) -> tuple[int, ...]:
     for (i, j, key), vs in out.clique_at.items():
         idx = gt.tiles[i][j].index(solution[i][j])
         chosen.append(vs[idx])
-    witness = tuple(sorted(chosen))
-    if len(witness) != out.k_prime or not out.graph.is_independent_set(witness):
-        raise InternalCheckError(f"lifted solution {witness} is not an independent set "
-                                 f"of size {out.k_prime}")
-    return witness
+    return out.graph.checked_witness(chosen, out.k_prime, "lifted solution")
 
 
 def project_solution(independent: tuple[int, ...], out: ConstructionOutput):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, product
 
-from .errors import InternalCheckError, PatternViolationError
+from .errors import PatternViolationError
 from .graph import Graph, bits, mask_of
 from .ramsey import ramsey_multicolor_bound
 
@@ -186,8 +186,10 @@ def iterexp_driver(g: Graph, k: int, batch_size, expansion_solver):
     need only be sound: a witness of size >= k, or None.  ``solve(mask,
     k')`` is a ``MisCallback`` on that graph that re-enters the driver.
 
-    Returns a sorted witness tuple, or None.  A PatternViolationError names
-    vertices of ``g``.
+    Returns a sorted witness tuple, or None.  Every witness of a subproblem,
+    the expansion solver's included, passes ``Graph.checked_witness`` before
+    it is memoised, so a bad one raises InternalCheckError.  A
+    PatternViolationError names vertices of ``g``.
     """
     memo: dict[tuple[Graph, int], tuple[int, ...] | None] = {}
 
@@ -203,10 +205,7 @@ def iterexp_driver(g: Graph, k: int, batch_size, expansion_solver):
             return memo[key]
         wit = _inner(gg, kk)
         if wit is not None:
-            wit = tuple(sorted(wit))
-            if len(wit) < kk or not gg.is_independent_set(wit):
-                raise InternalCheckError(f"driver witness {wit} is not an "
-                                         f"independent set of size {kk}")
+            wit = gg.checked_witness(wit, kk, "driver")
         memo[key] = wit
         return wit
 

@@ -42,6 +42,8 @@ def kernel_krfree(g: Graph, k: int, r: int) -> KernelResult:
     Large instances are immediately yes (the clique branch of the extractor
     is impossible); anything below ramsey_bound(r, k) is its own kernel.
     """
+    if k <= 0:
+        return KernelResult("solved_yes", trace=["k <= 0"])
     if g.n >= ramsey_bound(r, k):
         out = ramsey_extract(g, r, k)
         if out.kind == "clique":

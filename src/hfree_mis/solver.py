@@ -79,13 +79,11 @@ class SolveOutcome:
 
 def _decided(g: Graph, k: int, found, method: str, notes=()) -> SolveOutcome:
     """The outcome of a route that found the independent set ``found``, or
-    None for no.  A yes keeps the first max(k, 0) sorted vertices and checks
-    them: InternalCheckError unless they are k distinct independent ones."""
+    None for no.  A yes keeps the first max(k, 0) sorted vertices, checked
+    by ``Graph.checked_witness``."""
     if found is None:
         return SolveOutcome(False, (), method, list(notes))
-    wit = tuple(sorted(found))[:max(k, 0)]
-    if len(set(wit)) < k or not g.is_independent_set(wit):
-        raise InternalCheckError(f"{method} witness {wit} is not an independent set of size {k}")
+    wit = g.checked_witness(tuple(sorted(found))[:max(k, 0)], k, method)
     return SolveOutcome(True, wit, method, list(notes))
 
 
@@ -256,7 +254,8 @@ def _expansion_solve(g: Graph, k: int, f_k: int, faug_runner, rng: random.Random
     """Run the expansion driver with the Ramsey stage and the family's
     rainbow solver as its expansion step.  The step only has to be sound:
     the driver's own vertex branching closes whatever the desk-mode caps
-    leave undecided, so the decision is exact."""
+    leave undecided, so the decision is exact.  A rainbow solver's witness
+    goes back to the driver as it is, and the driver checks it."""
     stats = {"instances": 0, "structured_hits": 0}
     stage = StageConfig(faithful=config.faithful)
 
@@ -271,13 +270,12 @@ def _expansion_solve(g: Graph, k: int, f_k: int, faug_runner, rng: random.Random
         for inst in outcome.instances:
             stats["instances"] += 1
             try:
-                res = faug_runner(inst, solve)
+                wit = faug_runner(inst, solve)
             except ValueError:
                 continue
-            if res.found:
+            if wit is not None:
                 stats["structured_hits"] += 1
-                if gg.is_independent_set(res.witness) and len(res.witness) >= kk:
-                    return res.witness
+                return wit
         return None
 
     wit = iterexp_driver(g, k, batch_size, expansion)

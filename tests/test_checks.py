@@ -1,5 +1,6 @@
 """Soundness checks are explicit raises, so they survive ``python -O``,
-vertex subsets are masks of the graph at hand, not relabelled copies (the
+every witness passes ``Graph.checked_witness`` (other independence tests
+only at ``INDEPENDENCE_TEST_SITES``), vertex subsets are masks of the graph at hand, not relabelled copies (the
 kernels and the Turing drivers included; copies are made only at the three
 sites of ``RELABELLING_SITES``), a complement is read through
 ``Graph.co_components`` rather than built (``complement`` is called only at
@@ -87,6 +88,20 @@ def test_complement_sites():
     assert found == [], f"complements built outside the allowed sites: {found}"
 
 
+# (module, enclosing function) allowed to test a vertex set for independence
+# by itself; every witness goes through Graph.checked_witness instead
+INDEPENDENCE_TEST_SITES = {
+    ("hardness", "project_solution"),         # an input check: ValueError
+    ("iterexp", "build"),                     # RamseyCliques' column check
+    ("iterexp", "ramsey_extraction_stage"),   # the early-set test
+}
+
+
+def test_witnesses_use_the_one_check():
+    found = _calls_outside("is_independent_set", INDEPENDENCE_TEST_SITES)
+    assert found == [], f"witness checks outside Graph.checked_witness: {found}"
+
+
 def test_outcomes_are_built_by_the_checked_builder():
     # every solver route's outcome passes the one witness check
     found = _calls_outside("SolveOutcome", {("solver", "_decided")})
@@ -162,11 +177,17 @@ def test_internal_check_survives_optimize_flag():
         "from hfree_mis.cograph import cograph_alpha\n"
         "from hfree_mis.errors import InternalCheckError\n"
         "from hfree_mis.graph import Graph\n"
+        "from hfree_mis.patterns import complete\n"
         "solver.greedy_independent_set = lambda g: g.full_mask\n"
         "try:\n"
         "    solver.solve_hfree(Graph(3, [(0, 1)]), 3, 'gem')\n"
         "except InternalCheckError:\n"
         "    print('raised by _decided')\n"
+        "solver.solve_faug_gem = lambda inst, rng, rounds: (0, 1)\n"
+        "try:\n"
+        "    solver.solve_paper(complete(22), 2, 'gem')\n"
+        "except InternalCheckError:\n"
+        "    print('raised by the expansion driver')\n"
         "Graph.is_independent_mask = lambda self, mask: False\n"
         "try:\n"
         "    cograph_alpha(Graph(3, [(0, 1)]))\n"
@@ -179,7 +200,8 @@ def test_internal_check_survives_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["raised by _decided", "raised by cograph_alpha", ""]
+    assert proc.stdout.split("\n") == ["raised by _decided", "raised by the expansion driver",
+                                       "raised by cograph_alpha", ""]
 
 
 def _budget_defaults(tree: ast.AST):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from hfree_mis.graph import Graph, mask_of
 from hfree_mis.induced import find_induced
 from hfree_mis.iterexp import FaugInstance, RamseyCliques
 from hfree_mis.oracle import alpha_exact
-from hfree_mis.patterns import clique_minus_bipartite, clique_minus_clique
+from hfree_mis.patterns import clique_minus_bipartite, clique_minus_clique, pattern
 
 from planted import planted_bipartite_instance, planted_gem_instance, planted_path_instance
 
@@ -54,8 +55,8 @@ def test_triangle_solver_finds_planted():
         inst, planted = planted_path_instance(4, 3, rng)
         res = solve_faug_clique_minus_triangle(inst, 3, rng, _oracle_callback(inst.graph),
                                                part_threshold=1)
-        assert res.found
-        assert inst.graph.is_independent_set(res.witness)
+        assert res is not None
+        assert inst.graph.is_independent_set(res)
 
 
 def test_triangle_solver_dp_route_no_long_edges():
@@ -63,7 +64,7 @@ def test_triangle_solver_dp_route_no_long_edges():
     inst, planted = planted_path_instance(6, 3, rng, long_edges=0)
     res = solve_faug_clique_minus_triangle(inst, 3, rng, _oracle_callback(inst.graph),
                                            separation_rounds=1, part_threshold=1)
-    assert res.found
+    assert res is not None
 
 
 def test_triangle_solver_separation_success_rate():
@@ -75,7 +76,7 @@ def test_triangle_solver_separation_success_rate():
         inst, planted = planted_path_instance(6, 3, rng, long_edges=3)
         res = solve_faug_clique_minus_triangle(inst, 3, rng, _oracle_callback(inst.graph),
                                                separation_rounds=1024, part_threshold=1)
-        hits += res.found
+        hits += res is not None
     assert hits >= trials // 2
 
 
@@ -97,7 +98,7 @@ def test_triangle_solver_one_sided_on_no_instance():
         res = solve_faug_clique_minus_triangle(inst2, 3, random.Random(seed),
                                                _oracle_callback(inst2.graph), part_threshold=1,
                                                separation_rounds=64)
-        assert not res.found
+        assert res is None
 
 
 def test_triangle_solver_small_part_branching():
@@ -105,7 +106,7 @@ def test_triangle_solver_small_part_branching():
     inst, planted = planted_path_instance(4, 3, rng)
     # with the faithful threshold every part is small: branching decides
     res = solve_faug_clique_minus_triangle(inst, 3, rng, _oracle_callback(inst.graph))
-    assert res.found
+    assert res is not None
 
 
 def test_path_dp():
@@ -126,8 +127,8 @@ def test_bipartite_solver_finds_planted():
         inst, planted = planted_bipartite_instance(3, 2, rng)
         res = solve_faug_clique_minus_bipartite(inst, 2, _oracle_callback(inst.graph),
                                                 part_threshold=1)
-        assert res.found
-        assert inst.graph.is_independent_set(res.witness)
+        assert res is not None
+        assert inst.graph.is_independent_set(res)
 
 
 def test_bipartite_solver_matches_exhaustive():
@@ -137,7 +138,7 @@ def test_bipartite_solver_matches_exhaustive():
         res = solve_faug_clique_minus_bipartite(inst, 2, _oracle_callback(inst.graph),
                                                 part_threshold=1)
         has = _rainbow_exists(inst) is not None or alpha_exact(inst.graph).alpha >= inst.k
-        assert res.found == has or (res.found and alpha_exact(inst.graph).alpha >= inst.k)
+        assert (res is not None) == has or (res is not None and alpha_exact(inst.graph).alpha >= inst.k)
 
 
 def test_bipartite_missing_clique_is_certified():
@@ -221,7 +222,7 @@ def test_bipartite_smallest_parameters():
     rc = RamseyCliques.build(g, ((0, 1, 2),))
     inst = FaugInstance.build(g, 2, (mask_of([3]), mask_of([4])), rc)
     res = solve_faug_clique_minus_bipartite(inst, 1, _oracle_callback(inst.graph), part_threshold=1)
-    assert not res.found
+    assert res is None
 
 
 # -- the gem ---------------------------------------------------------------------
@@ -231,8 +232,8 @@ def test_gem_solver_finds_planted():
         rng = random.Random(seed)
         inst, planted = planted_gem_instance(3, rng)
         res = solve_faug_gem(inst, rng, rounds=256)
-        assert res.found
-        assert inst.graph.is_independent_set(res.witness)
+        assert res is not None
+        assert inst.graph.is_independent_set(res)
 
 
 def test_gem_success_rate_on_planted():
@@ -242,23 +243,93 @@ def test_gem_success_rate_on_planted():
         rng = random.Random(900 + t)
         inst, planted = planted_gem_instance(3, rng)
         res = solve_faug_gem(inst, rng, rounds=2 ** (3 * 3 + 1))
-        hits += res.found
+        hits += res is not None
     assert hits >= trials // 2
 
 
-def test_gem_solver_never_false_positive():
-    # a path of fully joined cliques: alpha = 2 < k = 3, answer must be no
-    from hfree_mis.patterns import pattern as named
-
+def _gem_no_instance():
+    """A path of fully joined cliques: alpha = 2 < k = 3."""
     edges = [(0, 2), (0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (1, 6), (1, 7),
              (2, 3), (4, 5), (6, 7),
              (2, 4), (2, 5), (3, 4), (3, 5),
              (4, 6), (4, 7), (5, 6), (5, 7)]
     g = Graph(8, edges)
-    assert find_induced(g, named("gem")) is None
     rc = RamseyCliques.build(g, ((0,), (1,)))
-    inst = FaugInstance.build(g, 3, (mask_of([2, 3]), mask_of([4, 5]), mask_of([6, 7])), rc)
-    assert alpha_exact(g).alpha < 3
+    return FaugInstance.build(g, 3, (mask_of([2, 3]), mask_of([4, 5]), mask_of([6, 7])), rc)
+
+
+def test_gem_solver_never_false_positive():
+    # the answer must be no
+    inst = _gem_no_instance()
+    assert find_induced(inst.graph, pattern("gem")) is None
+    assert alpha_exact(inst.graph).alpha < 3
     for seed in range(10):
         res = solve_faug_gem(inst, random.Random(seed), rounds=128)
-        assert not res.found
+        assert res is None
+
+
+# -- all three ---------------------------------------------------------------------
+
+# sha256 over the answers of test_rainbow_answers_are_pinned, recorded
+# while the solvers still wrapped their answers in a result type
+PINNED_RAINBOW_ANSWERS = "f446d055f346942b941d7079f7d9b74f5f79f50c3dffdfe975c47fef11e7edab"
+
+
+def _without_planted(inst, planted, forbidden):
+    """The instance with its planted transversal made a clique, or None
+    when that puts the forbidden pattern into the host."""
+    g = inst.graph
+    extra = [(u, w) for i, u in enumerate(planted) for w in planted[i + 1:]]
+    g2 = Graph(g.n, g.edges() + extra)
+    if find_induced(g2, forbidden) is not None:
+        return None
+    return FaugInstance.build(g2, inst.k, inst.parts, RamseyCliques.build(g2, inst.cliques.cliques))
+
+
+def _rainbow_cases():
+    """(label, instance, planted vertices, forbidden pattern, solve) over
+    seeded planted instances of the three solvers; ``solve`` runs the solver
+    on a fresh seeded generator."""
+    for seed in range(8):
+        k = 2 + seed % 5
+        inst, planted = planted_path_instance(k, 3, random.Random(seed), long_edges=seed % 3)
+        for threshold in (1, None):
+            def triangle(inst, seed=seed, threshold=threshold):
+                return solve_faug_clique_minus_triangle(
+                    inst, 3, random.Random(seed), _oracle_callback(inst.graph),
+                    separation_rounds=64, part_threshold=threshold)
+            yield ("triangle", seed, threshold), inst, planted, clique_minus_clique(6, 3), triangle
+    for seed in range(6):
+        k = 2 + seed % 3
+        inst, planted = planted_bipartite_instance(k, 2, random.Random(seed), part_size=2 + seed % 2)
+        for threshold in (1, None):
+            def bipartite(inst, threshold=threshold):
+                return solve_faug_clique_minus_bipartite(
+                    inst, 2, _oracle_callback(inst.graph), part_threshold=threshold)
+            yield ("bipartite", seed, threshold), inst, planted, clique_minus_bipartite(6, 2, 2), bipartite
+    for seed in range(8):
+        inst, planted = planted_gem_instance(2 + seed % 3, random.Random(seed))
+
+        def gem(inst, seed=seed):
+            return solve_faug_gem(inst, random.Random(seed), rounds=16)
+        yield ("gem", seed), inst, planted, pattern("gem"), gem
+    yield ("gem", "no"), _gem_no_instance(), (), pattern("gem"), gem
+
+
+def test_rainbow_answers_are_pinned():
+    """Each solver's witness, or None, on planted instances and on their
+    variants without the planted transversal."""
+    total = hashlib.sha256()
+    kinds = set()
+    for label, inst, planted, forbidden, solve in _rainbow_cases():
+        for variant, case in (("planted", inst), ("no", _without_planted(inst, planted, forbidden))):
+            if case is None:
+                continue
+            answer = solve(case)
+            if answer is not None:
+                assert len(answer) >= case.k and case.graph.is_independent_set(answer), label
+            kinds.add((label[0], answer is not None))
+            total.update(repr((label, variant, answer)).encode())
+    assert kinds == {(name, found) for name in ("triangle", "bipartite", "gem")
+                     for found in (True, False)}
+    assert total.hexdigest() == PINNED_RAINBOW_ANSWERS

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from hfree_mis.errors import InternalCheckError
 from hfree_mis.graph import Graph, bits, complement, disjoint_union, join, mask_of, random_graph
 from hfree_mis.oracle import alpha_exact
 from hfree_mis.patterns import complete, empty_graph, pattern
@@ -125,6 +126,16 @@ def _masks(g, rng):
     yield g.full_mask
     for _ in range(4):
         yield rng.getrandbits(g.n)
+
+
+def test_checked_witness_accepts_only_independent_sets_of_g():
+    g = Graph(5, [(0, 1), (1, 2), (3, 4)])   # P3 + K2
+    assert g.checked_witness(iter((3, 2, 0)), 3, "test") == (0, 2, 3)
+    assert g.checked_witness((2, 0, 4), 2, "test") == (0, 2, 4)    # more than k is fine
+    assert g.checked_witness((), 0, "test") == g.checked_witness((), -1, "test") == ()
+    for bad, k in (((0, 1), 2), ((0, 2), 3), ((0, 0, 2), 3), ((0, 5), 2), ((-1, 2), 2)):
+        with pytest.raises(InternalCheckError, match=r"^test witness"):
+            g.checked_witness(bad, k, "test")
 
 
 def test_co_components_are_the_complements_components():

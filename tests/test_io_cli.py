@@ -129,6 +129,15 @@ def test_cli_kernel(tmp_path, capsys):
     assert reduced.n == 5
 
 
+@pytest.mark.parametrize("family, r", [("krfree", 3), ("paw", 4)])
+def test_cli_kernel_nonpositive_k(tmp_path, capsys, family, r):
+    path = _write_graph(tmp_path, pattern("C5").graph)
+    assert main(["kernel", "--input", path, "--family", family,
+                 "--k", "0", "--r", str(r)]) == 0
+    text = capsys.readouterr().out
+    assert "verdict = solved_yes" in text and "rule: k <= 0" in text
+
+
 def test_cli_generate_round_trip(tmp_path, capsys):
     out_path = str(tmp_path / "inst.txt")
     assert main(["generate", "--kind", "gridtiling", "--k", "2", "--m", "2",

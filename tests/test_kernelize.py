@@ -51,6 +51,17 @@ def test_krfree_violation():
         kernel_krfree(complete(10), 3, 3)
 
 
+@pytest.mark.parametrize("k", [0, -2])
+def test_krfree_nonpositive_k_is_solved_yes(k):
+    """k <= 0 is a yes with the empty witness, answered as kernel_paw_like
+    answers it, before any bound is computed."""
+    for g in (Graph(0), cycle(5), complete(10)):
+        res = kernel_krfree(g, k, 3)
+        assert (res.verdict, res.witness, res.trace) == ("solved_yes", (), ["k <= 0"])
+        paw = kernel_paw_like(g, k, 4)
+        assert (res.verdict, res.witness, res.trace) == (paw.verdict, paw.witness, paw.trace)
+
+
 def test_paw_kernel_multipartite_rule():
     # complete multipartite with parts of size 2: alpha 2 preserved
     g = complete_multipartite([2] * 8)

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import re
 import zlib
 
 import pytest
@@ -154,10 +156,13 @@ def test_methods_name_the_deciding_step():
      lambda g, k, r: KernelResult("solved_yes", (0, 1))),
     (solve_paper, complete(6), 2, "K5-K1,3", "solve_via_turing",
      lambda g, k, r, budget: (0, 1)),
-], ids=["greedy", "paw-kernel", "turing"])
+    (solve_paper, complete(22), 2, "gem", "solve_faug_gem",
+     lambda inst, rng, rounds: (0, 1)),
+], ids=["greedy", "paw-kernel", "turing", "expansion"])
 def test_broken_witness_raises_internal_check(monkeypatch, solve, g, k, h, name, broken):
     """A route that hands back a set that is not independent is caught
-    before the outcome leaves, on either entry."""
+    before the outcome leaves, on either entry; a rainbow solver's set is
+    caught by the expansion driver, not skipped."""
     monkeypatch.setattr(solver, name, broken)
     with pytest.raises(InternalCheckError):
         solve(g, k, h)
@@ -216,3 +221,53 @@ def test_paper_violations_are_certified(monkeypatch):
     assert "found by searching the input" in err.value.message
     with pytest.raises(InternalCheckError):
         solve_paper(complete(6), 2, "K5-K2")
+
+
+# sha256 over the records of test_paper_outcomes_are_pinned, recorded
+# while the rainbow solvers still wrapped their answers in a result type
+PINNED_PAPER_OUTCOMES = "36b110de1a0c1da79ada575669cb91d67f4a3198de41e3c15206e8b9a9ec4a97"
+
+# per pattern, the densities of its seeded H-free draws; the denser ones of
+# the three expansion families hand the stage structured instances
+PAPER_PIN_DENSITIES = {
+    "P3": (0.1, 0.2), "K4": (0.2, 0.35, 0.5), "2K2": (0.5, 0.7, 0.85),
+    "K5-K2": (0.2, 0.35, 0.5), "K5-K1,2": (0.2, 0.35, 0.5), "K5-K1,3": (0.1, 0.25, 0.4),
+    "K6-K3": (0.15, 0.4, 0.8, 0.9), "K6-K2,2": (0.15, 0.4, 0.9, 0.95),
+    "gem": (0.1, 0.3, 0.8, 0.9),
+}
+
+
+def _paper_record(g, k, h, seed, config=None):
+    try:
+        out = solve_paper(g, k, h, seed=seed, config=config)
+    except PatternViolationError as exc:
+        return ("violation", exc.pattern_name, exc.vertices)
+    return (out.decision, out.method, tuple(out.notes), out.witness)
+
+
+def test_paper_outcomes_are_pinned():
+    """``solve_paper``'s decision, method, notes and witness on seeded
+    H-free draws of 4-16 vertices at k = 0, alpha - 1, alpha and alpha + 1,
+    per supported family, and on the faithful gem stage over K22."""
+    total = hashlib.sha256()
+    tried = set()
+    for name, densities in PAPER_PIN_DENSITIES.items():
+        h = pattern(name)
+        rng = random.Random(zlib.crc32(f"{name}-paper-pin".encode()))
+        graphs = []
+        while len(graphs) < 14:
+            g = random_graph(rng.randrange(4, 17), rng.choice(densities), rng)
+            if find_induced(g, h) is None:
+                graphs.append(g)
+        for idx, g in enumerate(graphs):
+            a = alpha_exact(g).alpha
+            for k in sorted({0, a - 1, a, a + 1}):
+                record = _paper_record(g, k, name, idx)
+                if re.search(r"tried: [1-9]", str(record)):
+                    tried.add(name)
+                total.update(repr((name, tuple(g.adj), k, record)).encode())
+    faithful = _paper_record(complete(22), 2, "gem", 0, SolveConfig(faithful=True))
+    assert faithful == (False, "gem", ("structured instances tried: 20 (hits: 0)",), ())
+    total.update(repr(faithful).encode())
+    assert tried == {"K6-K3", "K6-K2,2", "gem"}, tried
+    assert total.hexdigest() == PINNED_PAPER_OUTCOMES
