@@ -15,8 +15,15 @@ AAAI 2010).  At a tight node every candidate adjacent to a whole other
 part is deleted, since choosing it would empty that part; the node ends
 as soon as a part is empty, and deletion repeats until nothing changes.
 The rule is sound for any clique cover, overlapping classes included.
-Each tight node keeps the common neighbourhood of every live part, and a
-child of a tight node recomputes only the parts that shrank.
+Every descendant of a tight node is tight too, so its subtree is searched
+with the parts at fixed positions (0 for a part already settled) and each
+part's common neighbourhood kept beside it: a deletion round finds the
+parts it touched with one scan, recomputes only their common
+neighbourhoods, and ends the node when one is empty.  At the fixpoint
+every part cut down to one vertex is settled at once, since its vertex's
+neighbours are already deleted; two settled parts naming one vertex (of
+overlapping classes) end the node.  The subtree returns at its first set
+that beats the best.
 
 One search serves two entries: ``alpha_exact`` starts from a floor (a
 greedy independent set, or one the caller holds) and returns alpha with a
@@ -29,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import and_, ne
+from operator import and_
 
 from .errors import BudgetExceededError, InternalCheckError
 from .graph import Graph, bits
@@ -152,13 +159,15 @@ def _search(g: Graph, cover: list[int], mask: int, best_mask: int, best: int, ta
     the nodes used; with ``target`` <= n it returns at the first set of
     ``target`` vertices instead.  Each node keeps the classes of its parent's
     live list that still meet its candidates, in the parent's order, which
-    is the list a filter of the whole cover would give.  A tight node hands
-    its member children its live list and its parts' common neighbourhoods
-    (``parent_commons``), both without the part it branches on; every other
-    node hands on None.
+    is the list a filter of the whole cover would give.  A tight node that
+    survives its first deletion round hands its live parts and their common
+    neighbourhoods to ``settle``, which searches the rest of its subtree.
+    InternalCheckError unless a set returned as beating ``best`` is
+    independent and has exactly the number of vertices the search counted.
     """
     adj = g.adj
     nodes = 0
+    start = best
 
     def common_of(part: int) -> int:
         """The vertices adjacent to every vertex of ``part``."""
@@ -171,14 +180,62 @@ def _search(g: Graph, cover: list[int], mask: int, best_mask: int, best: int, ta
             part ^= low
         return common
 
-    def search(parent_live: list[int], parent_commons: list[int] | None, cands: int,
-               chosen: int, count: int) -> None:
+    def settle(parts: list[int], commons: list[int], removed: int, chosen: int,
+               count: int) -> bool:
+        """One node of a tight subtree: a better set takes one vertex from every
+        nonzero entry of ``parts``, which keep their positions (0 marks a part
+        already settled), and ``commons`` holds each entry's common
+        neighbourhood.  Deletes ``removed`` and whatever that makes
+        unchoosable, settles every part cut down to one vertex, then branches
+        on the first smallest part; True once a set beating ``best`` is found.
+        """
+        nonlocal best, best_mask, nodes
+        positions = range(len(parts))
+        # a part's common neighbourhood grows only when the part shrinks
+        while touched := list(compress(positions, map(and_, repeat(removed), parts))):
+            keep, removed = ~removed, 0
+            for i in touched:
+                parts[i] = part = parts[i] & keep
+                if not part:
+                    return False
+                commons[i] = common = common_of(part)
+                removed |= common
+        cls = min(filter(None, parts), key=int.bit_count, default=0)
+        if cls.bit_count() == 1:
+            # propagation has deleted the neighbours of every one-vertex part,
+            # so all of them join the set at once
+            settled = 0
+            for i in compress(positions, map((1).__eq__, map(int.bit_count, parts))):
+                part = parts[i]
+                if settled & part:
+                    return False    # two overlapping classes name one vertex
+                settled |= part
+                parts[i] = 0
+                count += 1
+            chosen |= settled
+            cls = min(filter(None, parts), key=int.bit_count, default=0)
+        if not cls:
+            best, best_mask = count, chosen
+            if count >= target:
+                raise _Reached
+            return True
+        parts[parts.index(cls)] = 0
+        for v in bits(cls):
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(nodes, budget)
+            # the class is a clique through v: N[v] covers it
+            if settle(parts[:], commons[:], cls | adj[v], chosen | 1 << v, count + 1):
+                return True
+        return False
+
+    def search(parent_live: list[int], cands: int, chosen: int, count: int) -> None:
         nonlocal best, best_mask, nodes
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(nodes, budget)
         if count >= target:
-            best_mask = chosen
+            best, best_mask = count, chosen
             raise _Reached
         live = [part for cls in parent_live if (part := cls & cands)]
         slack = count + len(live) - best
@@ -187,66 +244,44 @@ def _search(g: Graph, cover: list[int], mask: int, best_mask: int, best: int, ta
         if not live:
             best, best_mask = count, chosen
             return
-        commons = None
         if slack == 1:
             # tight: only a set taking one vertex from every live part beats
-            # best, so a candidate adjacent to a whole part is no member
+            # best, so a candidate adjacent to a whole part is no member;
+            # common_of inline: a call per part costs dense random graphs
+            # about 8% of their search time
+            commons = []
             dead = 0
-            if parent_commons is None:
-                # common_of inline: a call per part costs dense random graphs
-                # about 8% of their search time
-                commons = []
-                for part in live:
+            for part in live:
+                low = part & -part
+                common = adj[low.bit_length() - 1]
+                part ^= low
+                while part:
                     low = part & -part
-                    common = adj[low.bit_length() - 1]
+                    common &= adj[low.bit_length() - 1]
                     part ^= low
-                    while part:
-                        low = part & -part
-                        common &= adj[low.bit_length() - 1]
-                        part ^= low
-                    commons.append(common)
-                    dead |= common
-            else:
-                # below a tight parent, whose parts kill no candidate, only
-                # the parts that shrank can; the lists align part for part
-                commons = parent_commons[:]
-                for i in compress(range(len(live)), map(ne, live, parent_live)):
-                    commons[i] = common = common_of(live[i])
-                    dead |= common
+                commons.append(common)
+                dead |= common
             dead &= cands
-            while dead:
-                cands &= ~dead
-                # most tight nodes end here, before any part is recomputed
-                if not all(map(and_, repeat(cands), live)):
-                    return
-                # a part's common neighbourhood grows only when it shrinks
-                shrunk = list(compress(range(len(live)), map(and_, repeat(dead), live)))
-                dead = 0
-                for i in shrunk:
-                    live[i] = part = live[i] & cands
-                    commons[i] = common = common_of(part)
-                    dead |= common
-                dead &= cands
+            # most tight nodes end here, before any part is recomputed
+            if dead and not all(map(and_, repeat(cands & ~dead), live)):
+                return
+            settle(live, commons, dead, chosen, count)
+            return
         # branch on the sparsest live class: one subtree per member, plus skip;
         # the class is a clique through v, so skip & ~adj[v] is cands - N[v]
         cls = min(live, key=int.bit_count)
         skip = cands & ~cls
-        if commons is None:
-            for v in bits(cls):
-                search(live, None, skip & ~adj[v], chosen | 1 << v, count + 1)
-        else:
-            # each member's child drops this part; it dies if it drops another
-            i = live.index(cls)
-            rest, rest_commons = live[:i] + live[i + 1:], commons[:i] + commons[i + 1:]
-            for v in bits(cls):
-                search(rest, rest_commons, skip & ~adj[v], chosen | 1 << v, count + 1)
+        for v in bits(cls):
+            search(live, skip & ~adj[v], chosen | 1 << v, count + 1)
         if count + len(live) - 1 > best:
-            search(live, None, skip, chosen, count)
+            search(live, skip, chosen, count)
 
     try:
-        search(cover, None, mask, 0, 0)
+        search(cover, mask, 0, 0)
     except _Reached:
         pass
+    if best > start and best_mask.bit_count() != best:
+        raise InternalCheckError(f"oracle counted {best} vertices in {tuple(bits(best_mask))}")
     if not g.is_independent_mask(best_mask):
         raise InternalCheckError(f"oracle witness {tuple(bits(best_mask))} is not independent")
     return best_mask, nodes

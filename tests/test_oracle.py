@@ -149,25 +149,27 @@ def test_bad_cover_raises_value_error():
 # alphas and witnesses date from before each node filtered its parent's live
 # classes instead of the cover; nodes_used was re-recorded once the search
 # began propagating at tight nodes and deciding the discard branch at the
-# parent (7,869 nodes in all before, 3,348 after)
+# parent (7,869 nodes in all before, 3,348 after), and again once a tight
+# subtree settled every one-vertex part at once and stopped at its first
+# better set (3,310 after)
 PINNED_ALPHA = [
-    (29, 9, (0, 6, 8, 11, 12, 13, 22, 23, 26), 73),
+    (29, 9, (0, 6, 8, 11, 12, 13, 22, 23, 26), 69),
     (51, 20, (1, 2, 6, 8, 11, 14, 15, 21, 22, 25, 27, 28, 30, 31, 38, 41, 43, 45, 47, 49), 229),
     (40, 19, (0, 1, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 15, 17, 22, 26, 31, 33, 34), 23),
     (25, 11, (1, 3, 4, 7, 8, 12, 13, 18, 21, 22, 24), 33),
     (26, 8, (1, 9, 10, 11, 12, 13, 18, 20), 39),
     (41, 10, (1, 3, 8, 12, 16, 20, 21, 22, 31, 39), 92),
     (57, 12, (0, 3, 7, 17, 33, 35, 39, 42, 47, 48, 53, 56), 549),
-    (52, 12, (4, 5, 17, 18, 20, 36, 38, 40, 43, 44, 49, 51), 498),
-    (40, 10, (0, 1, 2, 3, 5, 7, 12, 25, 27, 39), 201),
-    (53, 13, (6, 8, 14, 15, 17, 21, 23, 30, 32, 33, 38, 41, 45), 481),
+    (52, 12, (4, 5, 17, 18, 20, 36, 38, 40, 43, 44, 49, 51), 493),
+    (40, 10, (0, 1, 2, 3, 5, 7, 12, 25, 27, 39), 195),
+    (53, 13, (6, 8, 14, 15, 17, 21, 23, 30, 32, 33, 38, 41, 45), 475),
     (21, 7, (0, 4, 6, 8, 11, 12, 15), 5),
     (38, 9, (0, 2, 5, 9, 10, 12, 20, 26, 28), 156),
-    (31, 8, (6, 10, 12, 14, 15, 27, 28, 29), 63),
+    (31, 8, (6, 10, 12, 14, 15, 27, 28, 29), 61),
     (24, 5, (0, 6, 7, 13, 18), 7),
     (27, 11, (0, 1, 2, 4, 5, 10, 13, 16, 19, 24, 25), 37),
-    (31, 14, (1, 5, 7, 8, 9, 11, 13, 14, 15, 17, 20, 23, 26, 29), 40),
-    (36, 10, (0, 8, 9, 13, 16, 18, 20, 25, 28, 30), 226),
+    (31, 14, (1, 5, 7, 8, 9, 11, 13, 14, 15, 17, 20, 23, 26, 29), 32),
+    (36, 10, (0, 8, 9, 13, 16, 18, 20, 25, 28, 30), 219),
     (48, 12, (4, 8, 10, 18, 20, 26, 32, 34, 39, 42, 44, 45), 282),
     (40, 7, (2, 4, 6, 7, 18, 24, 28), 105),
     (43, 13, (0, 2, 6, 7, 9, 10, 12, 16, 18, 19, 24, 31, 42), 209),
@@ -208,19 +210,41 @@ def test_bad_floor_raises_value_error():
 
 
 def test_constructions_end_within_few_nodes():
-    # second-variant k=2, m=5, n_t=8 tilings: a set of k' vertices takes one
-    # vertex from every main clique, so every node is tight; propagation
-    # refutes a no-instance (redrawn until infeasible) within 20 nodes and
-    # walks down to a planted solution with at most one dead end
-    for seed in range(8):
-        gt, _ = gen_grid_tiling(2, 5, 8, True, random.Random(seed))
-        out = build_construction(gt, "second", 1)
-        assert construction_alpha_reaches(out, budget=out.k_prime + 2) is True
-        rng = random.Random(seed)
-        gt, _ = gen_grid_tiling(2, 5, 8, False, rng)
-        while brute_force_feasible(gt) is not None:
-            gt, _ = gen_grid_tiling(2, 5, 8, False, rng)
-        assert construction_alpha_reaches(build_construction(gt, "second", 1), budget=20) is False
+    # second-variant tilings: a set of k' vertices takes one vertex from every
+    # main clique, so every node is tight; propagation refutes a no-instance
+    # (redrawn until infeasible) within 20 nodes, and settling each main
+    # clique cut down to one vertex walks down to a planted solution in a
+    # handful of nodes
+    for k, m, n_t in ((2, 5, 8), (3, 2, 3)):
+        for seed in range(8):
+            gt, _ = gen_grid_tiling(k, m, n_t, True, random.Random(seed))
+            assert construction_alpha_reaches(build_construction(gt, "second", 1), budget=8) is True
+            rng = random.Random(seed)
+            gt, _ = gen_grid_tiling(k, m, n_t, False, rng)
+            while brute_force_feasible(gt) is not None:
+                gt, _ = gen_grid_tiling(k, m, n_t, False, rng)
+            assert construction_alpha_reaches(build_construction(gt, "second", 1), budget=20) is False
+
+
+def test_settled_subtree_charges_the_budget():
+    # the root of a construction's reach is tight, so every later node lies
+    # in the settled subtree; this planted dive takes more than two nodes
+    gt, _ = gen_grid_tiling(2, 5, 8, True, random.Random(4))
+    out = build_construction(gt, "second", 1)
+    with pytest.raises(BudgetExceededError):
+        construction_alpha_reaches(out, budget=2)
+    assert construction_alpha_reaches(out, budget=8) is True
+
+
+def test_overlapping_classes_settle_one_vertex_once():
+    # C4 0-1-2-3 under classes {0, 1}, {1, 2}, {3}: at the tight root both
+    # overlapping classes shrink to vertex 1, which may count only once
+    g = cycle(4)
+    cover = [0b0011, 0b0110, 0b1000]
+    res = alpha_exact(g, cover=cover)
+    assert (res.alpha, res.witness) == (2, (0, 2))
+    assert alpha_reaches(g, 3, cover=cover) is None
+    assert alpha_reaches(g, 2, cover=cover) == (1, 3)
 
 
 def _masked_cases():
