@@ -316,32 +316,24 @@ def _is_polynomial(h: Graph, rules: list[str]) -> bool:
     return False
 
 
+_FPT_RULES = {"complete": "fpt:ramsey-kernel", "cluster": "fpt:cluster-expansion",
+              "clique_minus_bipartite": "fpt:clique-minus-bipartite", "gem": "fpt:gem-branching"}
+
+
 def _fpt_family(h: Graph, rules: list[str]) -> bool:
+    """Every family ``recognize_family`` names is FPT once the hardness rules
+    have passed: K_r - K_s with r > s >= 4 is a split graph with an induced
+    K1,4, so ``w1-hard:four-leaf-star`` takes it first.  An induced subgraph
+    of the gem lies inside P6, or it is K3, the diamond, the paw or the gem,
+    so no rule beyond the families is needed for it."""
     fam = recognize_family(h)
     if fam is None:
-        gem = named_pattern("gem").graph
-        if h.n <= 5 and find_induced(gem, h) is not None:
-            rules.append("fpt:inside-gem")
-            return True
         return False
-    if fam.kind == "complete":
-        rules.append("fpt:ramsey-kernel")
-        return True
-    if fam.kind == "cluster":
-        rules.append("fpt:cluster-expansion")
-        return True
     if fam.kind == "clique_minus_clique":
-        if fam.params[1] <= 3:
-            rules.append(f"fpt:clique-minus-K{fam.params[1]}")
-            return True
-        return False
-    if fam.kind == "clique_minus_bipartite":
-        rules.append("fpt:clique-minus-bipartite")
-        return True
-    if fam.kind == "gem":
-        rules.append("fpt:gem-branching")
-        return True
-    return False
+        rules.append(f"fpt:clique-minus-K{fam.params[1]}")
+    else:
+        rules.append(_FPT_RULES[fam.kind])
+    return True
 
 
 def _kernel_axis(h: Graph, complexity: str, rules: list[str]) -> str:

@@ -85,11 +85,7 @@ def cmd_solve(args) -> int:
 
 def cmd_kernel(args) -> int:
     g = _read_graph(args.input)
-    if args.family == "krfree":
-        res = kernel_krfree(g, args.k, args.r)
-    elif args.family == "paw":
-        res = kernel_paw_like(g, args.k, args.r)
-    elif args.family == "turing":
+    if args.family == "turing":
         comps = g.connected_components()
         runs = [("", None, args.k)]
         if len(comps) > 1:
@@ -117,8 +113,8 @@ def cmd_kernel(args) -> int:
         if args.output:
             _write(args.output, "".join(parts))
         return 0
-    else:
-        raise ValueError(args.family)
+    kernel = kernel_krfree if args.family == "krfree" else kernel_paw_like
+    res = kernel(g, args.k, args.r)
     print(f"verdict = {res.verdict}")
     for note in res.trace:
         print(f"rule: {note}")
@@ -165,14 +161,13 @@ def cmd_generate(args) -> int:
                 comments.append(f"vertex {v + 1}: gadget ({i},{j}) clique {key} index {a}")
         _write(args.output, emit_graph(out.graph, comments=tuple(comments)))
         return 0
-    if args.kind == "orcompose":
-        graphs = [_read_graph(p) for p in args.inputs]
-        joined = or_compose(graphs)
-        comments = (f"join composition of {len(graphs)} graphs",
-                    "alpha equals the maximum alpha of the inputs")
-        _write(args.output, emit_graph(joined, comments=comments))
-        return 0
-    raise ValueError(args.kind)
+    # argparse admits only gridtiling and orcompose
+    graphs = [_read_graph(p) for p in args.inputs]
+    joined = or_compose(graphs)
+    comments = (f"join composition of {len(graphs)} graphs",
+                "alpha equals the maximum alpha of the inputs")
+    _write(args.output, emit_graph(joined, comments=comments))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -84,8 +84,6 @@ def solve_faug_clique_minus_triangle(
     with the path dynamic program.  One-sided error.
     """
     g, k = inst.graph, inst.k
-    if k == 1:
-        return g.checked_witness((next(bits(inst.parts[0])),), 1, "single part")
     if any(len(cl) != r for cl in inst.cliques.cliques):
         raise ValueError("extracted cliques must have size r")
     threshold = ramsey_bound(r, k) if part_threshold is None else part_threshold
@@ -174,10 +172,8 @@ def _path_order(inst: FaugInstance) -> list[int]:
 
 
 def _path_dp(g: Graph, parts: list[int]) -> tuple[int, ...] | None:
-    """One vertex per part, consecutive parts non-adjacent; assumes no edges
-    between non-consecutive parts."""
-    if not parts:
-        return ()
+    """One vertex per part of a non-empty list, consecutive parts
+    non-adjacent; assumes no edges between non-consecutive parts."""
     parent: list[dict[int, int]] = [dict() for _ in parts]
     for v in bits(parts[0]):
         parent[0][v] = -1
@@ -212,8 +208,6 @@ def solve_faug_clique_minus_bipartite(
     r-cliques, and delegates to the cluster-free solver.  Deterministic.
     """
     g, k = inst.graph, inst.k
-    if k == 1:
-        return g.checked_witness((next(bits(inst.parts[0])),), 1, "single part")
     if any(len(cl) != 3 * r for cl in inst.cliques.cliques):
         raise ValueError("extracted cliques must have size 3r")
     threshold = ramsey_bound(r, k) if part_threshold is None else part_threshold
@@ -316,8 +310,7 @@ def _check_clique_minus_bipartite(g: Graph, side_a, middle, side_b, r: int) -> N
 # -- the gem ------------------------------------------------------------------
 
 def solve_faug_gem(
-    inst: FaugInstance, rng: random.Random,
-    rounds: int | None = None,
+    inst: FaugInstance, rng: random.Random, rounds: int,
 ) -> tuple[int, ...] | None:
     """Rainbow solver for gem-free hosts; extracted cliques are single
     vertices, so every part is dominated and induces a cograph.
@@ -329,12 +322,8 @@ def solve_faug_gem(
     round; never reports a false positive.
     """
     g, k = inst.graph, inst.k
-    if k == 1:
-        return g.checked_witness((next(bits(inst.parts[0])),), 1, "single part")
     if any(len(cl) != 1 for cl in inst.cliques.cliques):
         raise ValueError("extracted cliques must be single vertices")
-    if rounds is None:
-        rounds = min(2 ** (k * k + 1), 512)
 
     covers: list[list[int]] = []
     for p in inst.parts:
@@ -377,8 +366,8 @@ def _find_balanced_diamond(g: Graph, pi: int, pj: int) -> tuple[int, int, int, i
 
 def _gem_branching(g: Graph, k: int, parts: list[int], inst: FaugInstance,
                    rng: random.Random) -> tuple[int, ...] | None:
-    if any(p == 0 for p in parts):
-        return None
+    # no part is empty: cotree cover classes are not, and the branches
+    # below skip any that empties a part
     pairs = _adjacent_pairs(g, parts)
     target = next(((i, j) for i, j in pairs if _find_balanced_diamond(g, parts[i], parts[j]) is None), None)
     if target is None:

@@ -101,7 +101,7 @@ class RamseyCliques:
 @dataclass(frozen=True)
 class FaugInstance:
     """A structured rainbow instance on vertices of ``graph``: candidate
-    parts X_1..X_k and extracted cliques C_1..C_{k-1}.
+    parts X_1..X_k and extracted cliques C_1..C_{k-1}, for k >= 2.
 
     Every part sees every clique completely or not at all, and the bipartite
     part/clique adjacency graph is connected.  The instance promises that
@@ -120,6 +120,8 @@ class FaugInstance:
     def build(cls, g: Graph, k: int, parts: tuple[int, ...],
               cliques: RamseyCliques) -> "FaugInstance":
         """Validate the structure."""
+        if k < 2:
+            raise ValueError("rainbow instances need k >= 2")
         if len(parts) != k:
             raise ValueError("need exactly k parts")
         if cliques.count != k - 1:
@@ -335,13 +337,12 @@ def ramsey_extraction_stage(g: Graph, k: int, seed_sets: list[tuple[int, ...]],
 
     Emits one instance per surviving (index subset, coloring, signature
     tuple) branch; may instead return an early independent set when an
-    extracted column set turns out independent.
+    extracted column set turns out independent.  ValueError for k < 2: the
+    driver answers k <= 1 itself.
     """
+    if k < 2:
+        raise ValueError("rainbow instances need k >= 2")
     config = config or StageConfig()
-    if k == 1:
-        # no cliques needed; a single all-vertex part per coloring
-        inst = FaugInstance.build(g, 1, (g.full_mask,), RamseyCliques((), ()))
-        return StageOutcome([inst], None, 0)
     for s in seed_sets:
         if len(s) != k - 1:
             raise ValueError("seed sets must have size k-1")

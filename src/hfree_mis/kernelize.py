@@ -155,11 +155,6 @@ def _component_passes(g: Graph, alive: int, k: int, r: int, trace: list[str]):
     on a deletion, (None, KernelResult) when solved, (None, None)
     otherwise."""
     comps = g.connected_components(alive)
-    # one vertex per component is independent
-    if len(comps) >= k:
-        wit = tuple(next(bits(c)) for c in comps[:k])
-        trace.append("k components")
-        return None, KernelResult("solved_yes", wit, trace=list(trace))
     for comp in comps:
         # complete multipartite: its co-components, the parts, are independent
         parts = g.co_components(comp)

@@ -140,8 +140,6 @@ def _family(name: str | None, hg: Graph) -> FamilyMatch | None:
         if s >= 4:
             raise UnsupportedPatternError(
                 f"removing a clique of size {s} >= 4 puts the class in the hard regime")
-    elif fam.kind not in ("complete", "cluster", "clique_minus_bipartite", "gem"):
-        raise UnsupportedPatternError(f"unhandled family {fam.kind}")
     return fam
 
 
@@ -272,6 +270,8 @@ def _expansion_solve(g: Graph, k: int, f_k: int, faug_runner, rng: random.Random
             try:
                 wit = faug_runner(inst, solve)
             except ValueError:
+                # an input that is not H-free can give an instance that
+                # certifies nothing, such as a gem path no vertex dominates
                 continue
             if wit is not None:
                 stats["structured_hits"] += 1

@@ -209,6 +209,22 @@ def test_decomposition_agrees_with_oracle():
                 assert fast == slow, (g.edges(), family, mode)
 
 
+def test_no_soft_decomposition_rule_fires():
+    """A connected chordal pattern on seven vertices, free of K1,4, of trees
+    with two branching vertices and of T1,2,2, and outside the FPT families:
+    it has neither a nearly strong decomposition on a path nor an almost
+    strong one on a subdivided claw, so only the decomposition rule calls
+    it hard."""
+    h = Graph(7, [(0, 2), (0, 3), (1, 2), (1, 3), (1, 5), (1, 6), (2, 3), (2, 6),
+                  (3, 4), (3, 6), (4, 6), (5, 6)])
+    v = verdict(h)
+    assert (v.complexity, v.kernel) == ("w1_hard", "no_poly_kernel")
+    assert v.rules_fired == ("w1-hard:no-soft-decomposition", "kernel:none-without-fpt")
+    for family, mode in (("paths", "nearly_strong"), ("claw_subdivisions", "almost_strong")):
+        assert find_clique_decomposition(h, family, mode) is None
+        assert not _oracle_has_decomposition(h, family, mode)
+
+
 # sha256 over the records of _pinned_cases(), recorded before the
 # assignment search replaced the loop over all permutations of the parts
 PINNED_CLASSIFICATION = "7a527dec2a97884d294209264f300cd9bda96ca17976626a78d59cb41cd50543"

@@ -106,6 +106,17 @@ def test_faug_connectivity_required():
         FaugInstance.build(g2, 2, (1 << n, 1 << (n + 1)), rc)
 
 
+@pytest.mark.parametrize("k", [1, 0])
+def test_rainbow_instances_need_k_at_least_two(k):
+    """The driver answers k <= 1 itself, so neither the instance nor the
+    stage takes one."""
+    g = complete(3)
+    with pytest.raises(ValueError, match="k >= 2"):
+        FaugInstance.build(g, k, (g.full_mask,) * k, RamseyCliques((), ()))
+    with pytest.raises(ValueError, match="k >= 2"):
+        ramsey_extraction_stage(g, k, [(0,), (1,)], 1, random.Random(0))
+
+
 def test_thresholds():
     assert h_faithful(2, 1) == 4
     assert g_faithful(2, 1) == 20

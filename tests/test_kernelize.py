@@ -73,37 +73,24 @@ def test_paw_kernel_multipartite_rule():
 
 
 def test_paw_kernel_star_rule_fires_r5():
-    # core clique of size 6 with matched near-twins and a D vertex:
-    # the part-deletion rule must fire and keep the answer
-    core = complete(6)
-    n = core.n
-    edges = core.edges()
-    b = []
-    for x in range(4):  # near-twins missing exactly core vertex x
-        u = n
-        n += 1
-        b.append(u)
-        for w in range(6):
-            if w != x:
-                edges.append((u, w))
-    # the near-twins pairwise: distinct misses -> adjacent
-    for i in range(len(b)):
-        for j in range(i + 1, len(b)):
-            edges.append((b[i], b[j]))
-    d = n
-    n += 1
-    edges.append((d, 0))  # touches one part only
-    g = Graph(n, edges)
-    assert find_induced(g, clique_minus_star(5, 2)) is None
-    a_before = alpha_exact(g).alpha
-    res = kernel_paw_like(g, 2, 5)
-    if res.verdict == "reduced":
+    """The part-deletion rule fires where the greedy set falls short of k,
+    and keeps the answer.  Both hosts are K5-K1,2-free complete multipartite
+    graphs with a little more: K_{2,2,2,2,2,2} plus a vertex seeing vertex 0
+    (alpha 3, so k = 4 and 5 are no), and K_{4,2,2,2,2,2} plus an edge whose
+    ends both see the part of four (alpha 4, greedy 3, so k = 4 is yes)."""
+    pendant = Graph(13, complete_multipartite([2] * 6).edges() + [(12, 0)])
+    edge = Graph(16, complete_multipartite([4, 2, 2, 2, 2, 2]).edges() + [(14, 15)]
+                 + [(d, x) for d in (14, 15) for x in range(4)])
+    cases = [(pendant, 4, 3, "deleted 4 vertices beyond the 4 largest parts"),
+             (pendant, 5, 3, "deleted 2 vertices beyond the 5 largest parts"),
+             (edge, 4, 4, "deleted 4 vertices beyond the 4 largest parts")]
+    for g, k, alpha, fired in cases:
+        assert find_induced(g, clique_minus_star(5, 2)) is None
+        assert alpha_exact(g).alpha == alpha
+        res = kernel_paw_like(g, k, 5)
+        assert res.verdict == "reduced" and fired in res.trace, res.trace
         assert res.kept & ~g.full_mask == 0
-        deleted = g.n - res.kept.bit_count()
-        assert deleted > 0
-        assert (alpha_exact(g, mask=res.kept).alpha >= 2) == (a_before >= 2)
-    else:
-        assert res.verdict == "solved_yes" or a_before < 2
+        assert (alpha_exact(g, mask=res.kept).alpha >= k) == (alpha >= k)
 
 
 def test_paw_kernel_answer_preservation_random():
@@ -196,6 +183,20 @@ def test_turing_violations_induce_the_pattern():
                 messages.add(exc.message)
                 assert find_induced(g, h, mask=mask_of(exc.vertices)) is not None, exc
     assert "emitted piece contains a large clique" in messages
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_turing_vertex_at_distance_two_is_certified(k):
+    """A 17-clique, a vertex u seeing all of it but vertex 0, and a vertex w
+    seeing only u: w is at distance two from the clique, and with u and two
+    clique vertices it induces K4-K1,2."""
+    g = Graph(19, complete(17).edges() + [(17, v) for v in range(1, 17)] + [(17, 18)])
+    with pytest.raises(PatternViolationError) as info:
+        turing_kernel_star(g, k, 4)
+    exc = info.value
+    assert exc.message == "vertex at distance two from the clique"
+    assert sorted(exc.vertices) == [1, 2, 17, 18]
+    assert find_induced(g, clique_minus_star(4, 2), mask=mask_of(exc.vertices)) is not None
 
 
 def test_turing_driver_oracle_equivalence():
