@@ -16,9 +16,10 @@ The build makes one gadget template per distinct tile, its rows over the
 gadget's own 8(p+1)n_t vertices (one template serves every tile of the
 second and third variants, whose gadgets ignore the tile's pairs), shifts
 it into place per tile and then adds only the inter-gadget joins.  It
-checks every main clique of the finished graph (InternalCheckError), and
-``construction_alpha_reaches`` hands the oracle the main cliques as block
-masks, a clique cover the oracle checks again.
+checks every main clique of the finished graph once, with
+``oracle.check_cover`` (a failure is an InternalCheckError), and keeps the
+checked cover, which ``construction_alpha_reaches`` hands to the oracle as
+it stands.
 
 Edge types between consecutive cliques:
 
@@ -44,7 +45,7 @@ from itertools import product
 from .errors import InternalCheckError
 from .graph import Graph, join
 from .induced import find_induced
-from .oracle import DEFAULT_BUDGET, alpha_reaches
+from .oracle import DEFAULT_BUDGET, CheckedCover, alpha_reaches, check_cover
 from .patterns import HPattern, cycle as cycle_graph, star
 
 VARIANTS = ("first", "second", "third")
@@ -162,6 +163,7 @@ class ConstructionOutput:
     p: int
     gt: GridTiling
     clique_at: dict          # (i, j, key) -> vertex tuple, in vertex order
+    cover: CheckedCover      # the main cliques as block masks, checked on the graph
 
     @property
     def main_cliques(self) -> tuple[tuple[int, ...], ...]:
@@ -280,15 +282,18 @@ def _build(gt: GridTiling, variant: str, p: int, connect_gadgets: bool) -> Const
                       here + bottom, (((i + 1) % k) * k + j) * width + top)
     graph = Graph.from_adj(adj)
     block = (1 << n_t) - 1
-    clique_at = {}
+    clique_at, classes = {}, []
     for i in range(k):
         for j in range(k):
             for key, start in key_start.items():
                 off = (i * k + j) * width + start
-                vs = clique_at[(i, j, key)] = tuple(range(off, off + n_t))
-                if not graph.is_clique_mask(block << off):
-                    raise InternalCheckError(f"main clique {vs} is not a clique")
-    return ConstructionOutput(graph, 8 * (p + 1) * k * k, variant, p, gt, clique_at)
+                clique_at[(i, j, key)] = tuple(range(off, off + n_t))
+                classes.append(block << off)
+    try:
+        cover = check_cover(graph, classes, what="main clique")
+    except ValueError as exc:
+        raise InternalCheckError(str(exc)) from exc
+    return ConstructionOutput(graph, 8 * (p + 1) * k * k, variant, p, gt, clique_at, cover)
 
 
 # -- solution correspondence ---------------------------------------------------
@@ -331,10 +336,9 @@ def project_solution(independent: tuple[int, ...], out: ConstructionOutput):
 
 def construction_alpha_reaches(out: ConstructionOutput, budget: int = DEFAULT_BUDGET) -> bool:
     """Does the construction have an independent set of size k_prime?
-    A k-target search with the main cliques as the pruning cover."""
-    block = (1 << out.gt.tile_size) - 1
-    cover = [block << vs[0] for vs in out.clique_at.values()]
-    return alpha_reaches(out.graph, out.k_prime, budget, cover) is not None
+    A k-target search with the main cliques, checked by the build, as the
+    pruning cover."""
+    return alpha_reaches(out.graph, out.k_prime, budget, out.cover) is not None
 
 
 # -- exclusion verification -----------------------------------------------------

@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from hfree_mis import hardness
+from hfree_mis import hardness, oracle
 from hfree_mis.errors import InternalCheckError
 from hfree_mis.graph import Graph, bits, mask_of, random_graph
 from hfree_mis.hardness import (
@@ -187,6 +187,45 @@ def test_broken_template_clique_raises(monkeypatch):
     for variant in VARIANTS:
         with pytest.raises(InternalCheckError, match=r"main clique \(0, 1\) is not a clique"):
             build_construction(gt, variant, 1)
+
+
+def test_reach_checks_the_main_cliques_once(monkeypatch):
+    """The build's check is the only one a reach makes: the oracle takes the
+    checked cover as it stands, for that graph object alone."""
+    calls = []
+    check = oracle.check_cover
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "check_cover", spy)
+    monkeypatch.setattr(hardness, "check_cover", spy)
+    gt, _ = gen_grid_tiling(2, 3, 2, True, random.Random(14))
+    for variant in VARIANTS:
+        calls.clear()
+        out = build_construction(gt, variant, 1)
+        assert construction_alpha_reaches(out) is True
+        assert calls == [out.graph]
+        copy = Graph.from_adj(out.graph.adj)
+        assert alpha_reaches(copy, out.k_prime, cover=out.cover) is not None
+        assert calls == [out.graph, copy]
+
+
+def test_checked_cover_reused_on_another_graph_raises():
+    # a graph missing one edge of a main clique: the checked cover of the
+    # intact graph is checked again, by both entries
+    gt, _ = gen_grid_tiling(2, 3, 2, True, random.Random(15))
+    out = build_construction(gt, "first", 1)
+    u, v = out.clique_at[(0, 0, ("cycle", 0))][:2]
+    adj = list(out.graph.adj)
+    adj[u] &= ~(1 << v)
+    adj[v] &= ~(1 << u)
+    broken = Graph.from_adj(adj)
+    with pytest.raises(ValueError, match=rf"cover class \({u}, {v}\) is not a clique"):
+        alpha_exact(broken, cover=out.cover)
+    with pytest.raises(ValueError, match=rf"cover class \({u}, {v}\) is not a clique"):
+        alpha_reaches(broken, out.k_prime, cover=out.cover)
 
 
 def test_infeasible_construction_alpha_short():

@@ -4,8 +4,9 @@ import pytest
 
 from hfree_mis import oracle
 from hfree_mis.errors import BudgetExceededError, InternalCheckError
-from hfree_mis.graph import mask_of, random_graph
+from hfree_mis.graph import bits, mask_of, random_graph
 from hfree_mis.hardness import (
+    VARIANTS,
     brute_force_feasible,
     build_construction,
     construction_alpha_reaches,
@@ -79,6 +80,8 @@ def test_supplied_cover_gives_same_answer():
         g = random_graph(rng.randrange(2, 12), rng.random(), rng)
         cover = greedy_clique_cover(g, order=list(range(g.n)))
         assert alpha_exact(g, cover=cover).alpha == alpha_exact(g).alpha
+        # an empty class covers nothing and changes nothing, tree included
+        assert alpha_exact(g, cover=[0] + cover) == alpha_exact(g, cover=cover)
 
 
 def test_non_independent_witness_raises_internal_check(monkeypatch):
@@ -245,6 +248,48 @@ def test_overlapping_classes_settle_one_vertex_once():
     assert (res.alpha, res.witness) == (2, (0, 2))
     assert alpha_reaches(g, 3, cover=cover) is None
     assert alpha_reaches(g, 2, cover=cover) == (1, 3)
+
+
+def _widened_cover(out):
+    """The main cliques of a construction, each grown greedily by vertices
+    adjacent to the whole class: k' classes, and a vertex taken into another
+    class lies in two."""
+    adj = out.graph.adj
+    cover = []
+    for cls in out.cover.classes:
+        common = out.graph.full_mask
+        for v in bits(cls):
+            common &= adj[v]
+        while common:
+            low = common & -common
+            cls |= low
+            common &= adj[low.bit_length() - 1]
+        cover.append(cls)
+    return cover
+
+
+def test_long_propagation_over_overlapping_classes():
+    # every widened class is a live part at the tight root, so the search
+    # runs long propagation in tight subtrees over parts that share
+    # vertices: deleting a shared vertex must cut every part holding it
+    rng = random.Random(31)
+    kinds, shared = set(), 0
+    for variant in VARIANTS:
+        for planted in (True, False):
+            for _ in range(4):
+                gt, _ = gen_grid_tiling(2, 3, 2, planted, rng)
+                out = build_construction(gt, variant, 1)
+                cover = _widened_cover(out)
+                shared += sum(map(int.bit_count, cover)) - out.graph.n
+                witness = alpha_reaches(out.graph, out.k_prime, budget=10_000, cover=cover)
+                feasible = brute_force_feasible(gt) is not None
+                assert (witness is not None) == feasible
+                if witness is not None:
+                    assert len(witness) == out.k_prime
+                    assert out.graph.is_independent_set(witness)
+                kinds.add((variant, feasible))
+    assert kinds == {(v, f) for v in VARIANTS for f in (True, False)}
+    assert shared >= 24
 
 
 def _masked_cases():
