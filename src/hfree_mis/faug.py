@@ -22,7 +22,9 @@ from .cluster import solve_cluster_free
 from .cograph import cograph_decompose
 from .errors import InternalCheckError, PatternViolationError
 from .graph import Graph, bits, mask_of
+from .induced import find_induced
 from .iterexp import FaugInstance
+from .patterns import pattern
 from .ramsey import ramsey_bound, ramsey_extract
 
 MisCallback = Callable[[int, int], "tuple[int, ...] | None"]
@@ -436,10 +438,22 @@ def _gem_free_cotree(inst: FaugInstance, mask: int, where: str) -> tuple[int, in
 
 def _path_dominator(inst: FaugInstance, p4: tuple[int, ...]) -> int:
     """A vertex of the instance adjacent to all four path vertices: with the
-    path it induces a gem."""
+    path it induces a gem.
+
+    When there is none, the graph is not gem-free: on a gem-free graph,
+    adjacent cliques that finish the gem branching see the same extracted
+    vertices, so every path of four across them has a dominator.  The
+    PatternViolationError then names a gem found by search, in the instance
+    or else in its graph; finding none is InternalCheckError."""
+    g = inst.graph
     common = inst.mask
     for v in p4:
-        common &= inst.graph.adj[v]
-    if not common:
-        raise ValueError("no vertex sees the whole path of four, so it certifies no gem")
-    return next(bits(common))
+        common &= g.adj[v]
+    if common:
+        return next(bits(common))
+    for mask in (inst.mask, g.full_mask):
+        gem = find_induced(g, pattern("gem"), mask=mask)
+        if gem is not None:
+            raise PatternViolationError("gem", tuple(gem.values()),
+                                        f"found by search: no vertex sees the path of four {p4}")
+    raise InternalCheckError(f"no vertex sees the path of four {p4}, yet the graph is gem-free")

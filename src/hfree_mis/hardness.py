@@ -13,13 +13,15 @@ sets of size 8(p+1)k^2 correspond exactly to feasible tilings.  One map,
 that clique's vertices, whose a-th stands for tile (i, j)'s a-th pair.
 
 The build makes one gadget template per distinct tile, its rows over the
-gadget's own 8(p+1)n_t vertices (one template serves every tile of the
-second and third variants, whose gadgets ignore the tile's pairs), shifts
-it into place per tile and then adds only the inter-gadget joins.  It
-checks every main clique of the finished graph once, with
-``oracle.check_cover`` (a failure is an InternalCheckError), and keeps the
-checked cover, which ``construction_alpha_reaches`` hands to the oracle as
-it stands.
+gadget's own 8(p+1)n_t vertices, shifts it into place per tile and then
+adds only the inter-gadget joins.  The second and third variants' gadgets
+ignore the tile's pairs, so their template, already shifted into all k^2
+places, is made once per process for each shape (variant, p, n_t, k) and
+kept for the last ``CACHED_SHAPES`` shapes, as a tuple that each build
+copies.  Every build checks every main clique of its own finished graph,
+with ``oracle.check_cover`` (a failure is an InternalCheckError), and keeps
+the checked cover, which ``construction_alpha_reaches`` hands to the oracle
+as it stands.  ``clique_at`` is computed on first access.
 
 Edge types between consecutive cliques:
 
@@ -40,12 +42,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .errors import InternalCheckError
 from .graph import Graph, join
 from .induced import find_induced
-from .oracle import DEFAULT_BUDGET, CheckedCover, alpha_reaches, check_cover
+from .oracle import CACHED_SHAPES, DEFAULT_BUDGET, CheckedCover, alpha_reaches, check_cover
 from .patterns import HPattern, cycle as cycle_graph, star
 
 VARIANTS = ("first", "second", "third")
@@ -122,7 +125,8 @@ class _Arc:
     kind: str           # "half" | "row" | "col"
 
 
-def _gadget_layout(p: int):
+@lru_cache(maxsize=CACHED_SHAPES)
+def _gadget_layout(p: int) -> tuple[tuple[tuple, ...], tuple[_Arc, ...]]:
     """Clique keys and typed arcs of one tile gadget.
 
     Cycle keys ("cycle", t) for t in 0..4p+3 carry half-graph arcs; path
@@ -146,7 +150,9 @@ def _gadget_layout(p: int):
             arcs.append(_Arc(pk[-1], ("cycle", attach), kind))
         else:
             arcs.append(_Arc(("cycle", attach), pk[0], kind))
-    return keys, arcs
+    if len(keys) != 8 * (p + 1):
+        raise InternalCheckError(f"gadget layout has {len(keys)} keys, expected {8 * (p + 1)}")
+    return tuple(keys), tuple(arcs)
 
 
 def _port_key(d: str, p: int):
@@ -162,8 +168,17 @@ class ConstructionOutput:
     variant: str
     p: int
     gt: GridTiling
-    clique_at: dict          # (i, j, key) -> vertex tuple, in vertex order
     cover: CheckedCover      # the main cliques as block masks, checked on the graph
+
+    @cached_property
+    def clique_at(self) -> dict:
+        """(i, j, key) -> vertex tuple of that clique of gadget (i, j): the
+        gadgets in row-major order, each clique's n_t vertices after the
+        previous clique's."""
+        keys, n_t = _gadget_layout(self.p)[0], self.gt.tile_size
+        named = ((i, j, key) for i in range(self.gt.k) for j in range(self.gt.k) for key in keys)
+        return {name: tuple(range(off, off + n_t))
+                for name, off in zip(named, range(0, self.graph.n, n_t))}
 
     @property
     def main_cliques(self) -> tuple[tuple[int, ...], ...]:
@@ -178,7 +193,8 @@ class ConstructionOutput:
 def _cross_rows(kind: str, src_elems, dst_elems) -> tuple[list[int], list[int]]:
     """Cross edges between two cliques of the construction, as masks over
     clique indices: ``rows[a]`` holds the b joined to the source's a-th
-    vertex, ``cols[b]`` the a joined to the target's b-th."""
+    vertex, ``cols[b]`` the a joined to the target's b-th.  An anti-matching
+    reads only the number of elements."""
     n = len(src_elems)
     full = (1 << n) - 1
     if kind == "anti":
@@ -214,11 +230,13 @@ def _join(adj: list[int], rows_cols, src: int, dst: int) -> None:
         adj[dst + b] |= col << src
 
 
-def _gadget_rows(tile: tuple[tuple[int, int], ...], variant: str, p: int, start: dict,
-                 arcs: list[_Arc]) -> list[int]:
+def _gadget_rows(tile, variant: str, p: int) -> list[int]:
     """Adjacency rows of one tile's gadget over its own 8(p+1)n_t vertices,
-    clique key ``key`` on the n_t vertices from ``start[key]``."""
+    the cliques in ``_gadget_layout`` order, n_t vertices each.  Only the
+    first variant reads the tile's pairs; the others read its length."""
     n_t = len(tile)
+    keys, arcs = _gadget_layout(p)
+    start = {key: idx * n_t for idx, key in enumerate(keys)}
     block = (1 << n_t) - 1
     rows = [(block << off) ^ (1 << v) for off in start.values() for v in range(off, off + n_t)]
     kinds = ("half", "row", "col") if variant == "first" else ("anti",)
@@ -231,6 +249,15 @@ def _gadget_rows(tile: tuple[tuple[int, int], ...], variant: str, p: int, start:
             _join(rows, inner["anti"], start[("cycle", (attach - 1) % cyc)],
                   start[("cycle", (attach + 1) % cyc)])
     return rows
+
+
+@lru_cache(maxsize=CACHED_SHAPES)
+def _tiled_template(variant: str, p: int, n_t: int, k: int) -> tuple[int, ...]:
+    """The rows of the k x k gadgets of the second or third variant, before
+    the inter-gadget joins: one template, which ignores the tile pairs,
+    shifted to gadget (i, j) by (i k + j) 8(p+1) n_t vertices."""
+    rows = _gadget_rows(range(n_t), variant, p)
+    return tuple(row << base for base in range(0, k * k * len(rows), len(rows)) for row in rows)
 
 
 def build_tile_gadget(tile: tuple[tuple[int, int], ...], p: int, variant: str) -> ConstructionOutput:
@@ -250,29 +277,28 @@ def _build(gt: GridTiling, variant: str, p: int, connect_gadgets: bool) -> Const
     if p < 1:
         raise ValueError("need p >= 1")
     k, n_t = gt.k, gt.tile_size
-    keys, arcs = _gadget_layout(p)
-    per_gadget = len(keys)
-    if per_gadget != 8 * (p + 1):
-        raise InternalCheckError(f"gadget layout has {per_gadget} keys, expected {8 * (p + 1)}")
-    key_start = {key: idx * n_t for idx, key in enumerate(keys)}
-    width = per_gadget * n_t
+    keys = _gadget_layout(p)[0]
+    width = len(keys) * n_t
 
     # gadget (i, j) is its tile's template shifted up by (i k + j) width
-    # vertices; the second and third variants' template is the same for
-    # every tile
-    templates: dict = {}
-    adj: list[int] = []
-    for tiles in gt.tiles:
-        for tile in tiles:
-            shape = tile if variant == "first" else None
-            if shape not in templates:
-                templates[shape] = _gadget_rows(tile, variant, p, key_start, arcs)
-            base = len(adj)
-            adj.extend([row << base for row in templates[shape]])
+    # vertices; the second and third variants' templates, already shifted,
+    # are the same for every tiling of this shape
+    if variant == "first":
+        templates: dict = {}
+        adj: list[int] = []
+        for tiles in gt.tiles:
+            for tile in tiles:
+                if tile not in templates:
+                    templates[tile] = _gadget_rows(tile, variant, p)
+                base = len(adj)
+                adj.extend([row << base for row in templates[tile]])
+    else:
+        adj = list(_tiled_template(variant, p, n_t, k))
 
     if connect_gadgets:
-        right, left = key_start[_port_key("right", p)], key_start[_port_key("left", p)]
-        bottom, top = key_start[_port_key("bottom", p)], key_start[_port_key("top", p)]
+        start = {key: idx * n_t for idx, key in enumerate(keys)}
+        right, left = start[_port_key("right", p)], start[_port_key("left", p)]
+        bottom, top = start[_port_key("bottom", p)], start[_port_key("top", p)]
         for i in range(k):
             for j in range(k):
                 here = (i * k + j) * width
@@ -282,18 +308,12 @@ def _build(gt: GridTiling, variant: str, p: int, connect_gadgets: bool) -> Const
                       here + bottom, (((i + 1) % k) * k + j) * width + top)
     graph = Graph.from_adj(adj)
     block = (1 << n_t) - 1
-    clique_at, classes = {}, []
-    for i in range(k):
-        for j in range(k):
-            for key, start in key_start.items():
-                off = (i * k + j) * width + start
-                clique_at[(i, j, key)] = tuple(range(off, off + n_t))
-                classes.append(block << off)
     try:
-        cover = check_cover(graph, classes, what="main clique")
+        cover = check_cover(graph, [block << off for off in range(0, graph.n, n_t)],
+                            what="main clique")
     except ValueError as exc:
         raise InternalCheckError(str(exc)) from exc
-    return ConstructionOutput(graph, 8 * (p + 1) * k * k, variant, p, gt, clique_at, cover)
+    return ConstructionOutput(graph, 8 * (p + 1) * k * k, variant, p, gt, cover)
 
 
 # -- solution correspondence ---------------------------------------------------

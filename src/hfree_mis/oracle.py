@@ -24,8 +24,12 @@ rounds find those parts by a scan of all of them; once the subtree's scans
 have read as many parts as its root had vertices, an index from each
 vertex to the positions of its parts (several, for overlapping classes) is
 built once for the whole subtree, and a round then costs only the parts
-it cuts.  At the fixpoint every part cut down to one vertex is settled at
-once, since its vertex's neighbours are already deleted; two settled
+it cuts.  A tight root whose parts are all the classes of a
+``CheckedCover`` (a construction's reach search) starts with the index of
+those classes, which depends on the classes and n alone and is kept for
+the last ``CACHED_SHAPES`` of them.  At the fixpoint every part cut down
+to one vertex is settled at once, since its vertex's neighbours are
+already deleted; two settled
 parts naming one vertex (of overlapping classes) end the node.  The
 subtree returns at its first set that beats the best.
 
@@ -46,6 +50,7 @@ as it would search the relabelled copy, with a witness in G's vertex ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, repeat
 from operator import and_
 
@@ -208,6 +213,36 @@ def _cover_of(g: Graph, cover: list[int] | CheckedCover | None,
     return checked.classes, checked.root_dead
 
 
+def _part_index(parts, n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """For each of the n vertices, the positions of the ``parts`` holding it
+    (``owner``), and the vertices held by more than one part (``shared``).
+    A part of consecutive vertices (a construction's main clique) that meets
+    no earlier part is filled in one slice."""
+    owner, shared = [()] * n, 0
+    for i, part in enumerate(parts):
+        one = (i,)
+        low = part & -part
+        v, end = low.bit_length() - 1, part.bit_length()
+        if part & (part + low) or any(owner[v:end]):
+            while part:
+                low = part & -part
+                v = low.bit_length() - 1
+                if owner[v]:
+                    shared |= low
+                owner[v] += one
+                part ^= low
+        else:
+            owner[v:end] = [one] * (end - v)
+    return tuple(owner), shared
+
+
+# the index of a checked cover's classes, a pure function of the classes
+# and n, kept for the last CACHED_SHAPES of them: a process that builds many
+# constructions of one shape searches each with the same classes
+CACHED_SHAPES = 16
+_class_index = lru_cache(maxsize=CACHED_SHAPES)(_part_index)
+
+
 class _Reached(Exception):
     """Unwinds the search at the first independent set of the target size."""
 
@@ -238,9 +273,10 @@ def _search(g: Graph, cover: list[int] | tuple[int, ...], root_dead: int | None,
     # ``top`` once and then only the parts a round cuts.  So it is built once
     # the subtree's scans have read as many parts as ``top`` holds vertices
     # (``unread`` counts down), and the subtree pays at most about twice
-    # the cheaper way
+    # the cheaper way.  A tight root whose parts are all the classes of a
+    # checked cover takes the index of those classes from ``_class_index``
     top: list[int] = []
-    owner: list[tuple[int, ...]] | None = None
+    owner: tuple[tuple[int, ...], ...] | None = None
     shared = unread = 0
 
     def common_of(part: int) -> int:
@@ -254,27 +290,6 @@ def _search(g: Graph, cover: list[int] | tuple[int, ...], root_dead: int | None,
             part ^= low
         return common
 
-    def index() -> None:
-        """Fill ``owner`` and ``shared`` from ``top``; a part of consecutive
-        vertices (a construction's main clique) that meets no earlier part
-        in one slice."""
-        nonlocal owner, shared
-        owner, shared = [()] * g.n, 0
-        for i, part in enumerate(top):
-            one = (i,)
-            low = part & -part
-            v, end = low.bit_length() - 1, part.bit_length()
-            if part & (part + low) or any(owner[v:end]):
-                while part:
-                    low = part & -part
-                    v = low.bit_length() - 1
-                    if owner[v]:
-                        shared |= low
-                    owner[v] += one
-                    part ^= low
-            else:
-                owner[v:end] = [one] * (end - v)
-
     def settle(parts: list[int], removed: int, alive: int, chosen: int, count: int) -> bool:
         """One node of a tight subtree: a better set takes one vertex from every
         nonzero entry of ``parts``, which keep their positions (0 marks a part
@@ -283,7 +298,7 @@ def _search(g: Graph, cover: list[int] | tuple[int, ...], root_dead: int | None,
         part cut down to one vertex, then branches on the first smallest
         part; True once a set beating ``best`` is found.
         """
-        nonlocal best, best_mask, nodes, unread
+        nonlocal best, best_mask, nodes, unread, owner, shared
         positions = range(len(parts))
         # a round deletes the live hits and recomputes the common
         # neighbourhood of each part they cut, found by a scan of all parts
@@ -299,7 +314,7 @@ def _search(g: Graph, cover: list[int] | tuple[int, ...], root_dead: int | None,
                     removed |= common_of(part)
                 unread -= len(parts)
                 if unread <= 0 and removed & alive:
-                    index()
+                    owner, shared = _part_index(top, g.n)
                 continue
             todo = hits
             while todo:
@@ -346,7 +361,7 @@ def _search(g: Graph, cover: list[int] | tuple[int, ...], root_dead: int | None,
         return False
 
     def search(parent_live: list[int], cands: int, chosen: int, count: int) -> None:
-        nonlocal best, best_mask, nodes, top, owner, unread
+        nonlocal best, best_mask, nodes, top, owner, shared, unread
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(nodes, budget)
@@ -383,6 +398,10 @@ def _search(g: Graph, cover: list[int] | tuple[int, ...], root_dead: int | None,
             if dead and not all(map(and_, repeat(cands & ~dead), live)):
                 return
             top, owner, unread = live, None, cands.bit_count()
+            if nodes == 1 and root_dead is not None and len(live) == len(cover):
+                # every class of a checked cover is live: its index is
+                # computed once per process
+                owner, shared = _class_index(cover, g.n)
             settle(live[:], dead, cands, chosen, count)
             return
         # branch on the sparsest live class: one subtree per member, plus skip;

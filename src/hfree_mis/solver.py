@@ -267,12 +267,7 @@ def _expansion_solve(g: Graph, k: int, f_k: int, faug_runner, rng: random.Random
             return outcome.early_set
         for inst in outcome.instances:
             stats["instances"] += 1
-            try:
-                wit = faug_runner(inst, solve)
-            except ValueError:
-                # an input that is not H-free can give an instance that
-                # certifies nothing, such as a gem path no vertex dominates
-                continue
+            wit = faug_runner(inst, solve)
             if wit is not None:
                 stats["structured_hits"] += 1
                 return wit

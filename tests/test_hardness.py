@@ -171,9 +171,26 @@ def test_reach_witnesses_are_pinned(monkeypatch):
     assert total.hexdigest() == PINNED_REACH_WITNESSES
 
 
-def test_broken_template_clique_raises(monkeypatch):
+def _clear_shape_caches():
+    hardness._tiled_template.cache_clear()
+    hardness._gadget_layout.cache_clear()
+    oracle._class_index.cache_clear()
+
+
+@pytest.fixture
+def fresh_caches():
+    """Every per-process cache of a construction's shape, emptied before and
+    after the test."""
+    _clear_shape_caches()
+    yield
+    _clear_shape_caches()
+
+
+def test_broken_template_clique_raises(monkeypatch, fresh_caches):
     """The build checks every main clique of the finished graph, so a gadget
-    template missing one edge inside its first clique is caught."""
+    template missing one edge inside its first clique is caught.  The
+    template cache starts empty, so every variant makes its template with
+    the broken rows."""
     template = hardness._gadget_rows
 
     def broken(*args):
@@ -187,6 +204,59 @@ def test_broken_template_clique_raises(monkeypatch):
     for variant in VARIANTS:
         with pytest.raises(InternalCheckError, match=r"main clique \(0, 1\) is not a clique"):
             build_construction(gt, variant, 1)
+
+
+# (variant, p, n_t, k) of the interleaved builds: both cached variants, two
+# values of p, of n_t and of k
+INTERLEAVED_SHAPES = (("second", 1, 2, 2), ("third", 2, 3, 3), ("second", 2, 3, 2),
+                      ("third", 1, 2, 3), ("second", 1, 3, 3), ("third", 2, 2, 2))
+
+
+def _shape_record(out):
+    """Everything a build returns, and its reach search's set and nodes."""
+    g, cover = out.graph, out.cover
+    found, nodes = oracle._search(g, cover.classes, cover.root_dead, g.full_mask, 0,
+                                  out.k_prime - 1, out.k_prime, oracle.DEFAULT_BUDGET)
+    return (tuple(g.adj), out.main_cliques, out.cycle_cliques, dict(out.clique_at), cover.classes,
+            cover.root_dead, construction_alpha_reaches(out), found, nodes)
+
+
+def test_cached_shapes_never_leak_between_builds(fresh_caches):
+    """Builds of six shapes, planted and not, interleaved so that most of them
+    meet templates and indexes left by builds of other tilings, give what a
+    build after emptying every cache gives."""
+    rng = random.Random(24)
+    builds = []
+    for _ in range(2):
+        for variant, p, n_t, k in INTERLEAVED_SHAPES:
+            for planted in (True, False):
+                gt, _ = gen_grid_tiling(k, 2, n_t, planted, rng)
+                builds.append((gt, variant, p, _shape_record(build_construction(gt, variant, p))))
+    assert hardness._tiled_template.cache_info().hits > 0
+    assert oracle._class_index.cache_info().hits > 0
+    answers = set()
+    for gt, variant, p, record in builds:
+        _clear_shape_caches()
+        assert _shape_record(build_construction(gt, variant, p)) == record
+        answers.add(record[6])
+        assert record[6] == (brute_force_feasible(gt) is not None)
+    assert answers == {True, False}
+
+
+def test_a_build_mutated_leaves_the_next_unchanged(fresh_caches):
+    """The cached template and index are tuples, and a build's graph rows are
+    its own list: mutating one build changes no later build."""
+    gt, _ = gen_grid_tiling(2, 3, 3, True, random.Random(25))
+    first = build_construction(gt, "third", 1)
+    record = _shape_record(first)
+    template = hardness._tiled_template("third", 1, 3, 2)
+    owner, _shared = oracle._class_index(first.cover.classes, first.graph.n)
+    assert type(template) is tuple and type(owner) is tuple
+    first.graph.adj[0] = 0
+    first.graph.adj[1] |= 1 << 40
+    first.clique_at.clear()
+    assert _shape_record(build_construction(gt, "third", 1)) == record
+    assert hardness._tiled_template.cache_info().hits >= 1
 
 
 def test_reach_checks_the_main_cliques_once(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from hfree_mis import oracle
 from hfree_mis.errors import BudgetExceededError, InternalCheckError
-from hfree_mis.graph import bits, mask_of, random_graph
+from hfree_mis.graph import Graph, bits, mask_of, random_graph
 from hfree_mis.hardness import (
     VARIANTS,
     brute_force_feasible,
@@ -310,6 +310,40 @@ def test_mask_searches_the_induced_copy():
         assert res.witness == tuple(kept[v] for v in copy.witness)
         assert (res.alpha, res.nodes_used) == (copy.alpha, copy.nodes_used)
         assert mask_of(res.witness) & ~mask == 0
+
+
+def test_class_index_is_kept_per_graph_size():
+    """Equal classes on graphs of two sizes get an index each: a reach on a
+    construction, and alpha_exact on the construction plus seven isolated
+    vertices, masked to the construction and started one short of alpha so
+    that its root is tight.  Either order gives the same answers, and each
+    n is served its own index."""
+    gt, _ = gen_grid_tiling(2, 3, 2, True, random.Random(26))
+    out = build_construction(gt, "second", 1)
+    small, mask = out.graph, out.graph.full_mask
+    big = Graph.from_adj(small.adj + [0] * 7)
+    classes = out.cover.classes
+    big_cover = oracle.check_cover(big, classes, mask)
+    assert big_cover.classes == classes
+    floor = mask_of(alpha_reaches(small, out.k_prime)[1:])
+    answers = set()
+    for order in ((small, big), (big, small)):
+        oracle._class_index.cache_clear()
+        got = {}
+        for g in order * 2:
+            if g is small:
+                got[g] = alpha_reaches(small, out.k_prime, cover=out.cover)
+            else:
+                res = alpha_exact(big, cover=big_cover, floor=floor, mask=mask)
+                got[g] = (res.alpha, res.witness, res.nodes_used)
+        assert len(got[small]) == out.k_prime and got[big][0] == out.k_prime
+        info = oracle._class_index.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+        for g in order:
+            assert len(oracle._class_index(classes, g.n)[0]) == g.n
+        answers.add((got[small], got[big]))
+    assert len(answers) == 1
+    oracle._class_index.cache_clear()
 
 
 def test_mask_runs_out_at_the_copys_budget():

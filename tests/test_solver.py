@@ -5,7 +5,7 @@ import zlib
 
 import pytest
 
-from hfree_mis import solver
+from hfree_mis import faug, solver
 from hfree_mis.errors import InternalCheckError, PatternViolationError, UnsupportedPatternError
 from hfree_mis.faug import solve_faug_gem
 from hfree_mis.graph import Graph, complement, mask_of, random_graph
@@ -224,30 +224,45 @@ def test_paper_violations_are_certified(monkeypatch):
         solve_paper(complete(6), 2, "K5-K2")
 
 
-def test_expansion_skips_a_rainbow_instance_that_certifies_nothing(monkeypatch):
-    """On an input that is not gem-free, a rainbow instance can hold a path
-    of four that no vertex of the instance sees whole.  The gem solver then
-    raises ValueError, the expansion step skips that instance, and the
-    driver's own branching still decides.  A gem-free input never gets
-    here: adjacent cliques that finish the gem branching see the same
-    extracted vertices, so such a path would have one dominating it."""
-    g = complement(Graph(14, [
-        (0, 9), (0, 10), (1, 4), (1, 8), (2, 5), (2, 6), (2, 9), (2, 10), (3, 4), (3, 6),
-        (3, 9), (3, 11), (3, 12), (3, 13), (4, 6), (4, 9), (4, 13), (5, 8), (5, 11),
-        (5, 13), (6, 8), (6, 12), (6, 13), (7, 9), (8, 12), (10, 11), (10, 12)]))
+# complement of a 14-vertex graph that is not gem-free (alpha 4): at k = 5 a
+# rainbow instance of the gem solver holds a path of four that no vertex of
+# the instance sees whole
+GEM_UNDOMINATED = complement(Graph(14, [
+    (0, 9), (0, 10), (1, 4), (1, 8), (2, 5), (2, 6), (2, 9), (2, 10), (3, 4), (3, 6),
+    (3, 9), (3, 11), (3, 12), (3, 13), (4, 6), (4, 9), (4, 13), (5, 8), (5, 11),
+    (5, 13), (6, 8), (6, 12), (6, 13), (7, 9), (8, 12), (10, 11), (10, 12)]))
+
+
+def test_expansion_reports_a_gem_no_vertex_dominates(monkeypatch):
+    """When no vertex of a rainbow instance sees its path of four whole, the
+    gem solver searches for a gem and reports it, and ``solve_paper`` checks
+    the report against the input.  A gem-free input never gets here:
+    adjacent cliques that finish the gem branching see the same extracted
+    vertices, so such a path would have one dominating it."""
+    g = GEM_UNDOMINATED
     assert find_induced(g, pattern("gem")) is not None and alpha_exact(g).alpha == 4
     raised = []
 
     def spy(*args, **kwargs):
         try:
             return solve_faug_gem(*args, **kwargs)
-        except ValueError as exc:
-            raised.append(str(exc))
+        except PatternViolationError as exc:
+            raised.append(exc.message)
             raise
     monkeypatch.setattr(solver, "solve_faug_gem", spy)
-    out = solve_paper(g, 5, "gem", seed=0)
-    assert not out.decision
-    assert raised == ["no vertex sees the whole path of four, so it certifies no gem"]
+    with pytest.raises(PatternViolationError) as err:
+        solve_paper(g, 5, "gem", seed=0)
+    assert len(raised) == 1 and "no vertex sees the path of four" in raised[0]
+    assert err.value.pattern_name == "gem" and len(err.value.vertices) == 5
+    assert find_induced(g, pattern("gem"), mask=mask_of(err.value.vertices)) is not None
+
+
+def test_undominated_path_in_a_gem_free_graph_is_internal(monkeypatch):
+    """A search that finds no gem where no vertex sees the path of four
+    contradicts the argument above: InternalCheckError, not an answer."""
+    monkeypatch.setattr(faug, "find_induced", lambda *args, **kwargs: None)
+    with pytest.raises(InternalCheckError, match="no vertex sees the path of four"):
+        solve_paper(GEM_UNDOMINATED, 5, "gem", seed=0)
 
 
 # sha256 over the records of test_paper_outcomes_are_pinned, recorded
