@@ -23,11 +23,12 @@ from dataclasses import dataclass
 from .graph import Graph, bits, mask_of
 from .induced import find_induced
 from .patterns import (
+    FamilyMatch,
     HPattern,
     PATTERN_CAP,
     cycle,
     is_cluster_graph,
-    pattern as named_pattern,
+    path,
     recognize_family,
     star,
     t_spider,
@@ -35,7 +36,11 @@ from .patterns import (
 
 MODES = ("plain", "strong", "almost_strong", "nearly_strong")
 
+# the fixed patterns of the rules, built once
 _C4 = cycle(4)
+_K14 = star(4)
+_T122 = t_spider(1, 2, 2)
+_POLY_HOSTS = (("P6", path(6)), ("claw", star(3)))   # H inside one: polynomial
 
 
 @dataclass(frozen=True)
@@ -308,10 +313,9 @@ def _is_polynomial(h: Graph, rules: list[str]) -> bool:
     if max(h.degree(v) for v in range(h.n)) <= 1:
         rules.append("poly:union-of-edges")
         return True
-    for host in ("P6", "claw"):
-        hostg = named_pattern(host).graph
-        if h.n <= hostg.n and find_induced(hostg, h) is not None:
-            rules.append(f"poly:inside-{host}")
+    for name, host in _POLY_HOSTS:
+        if h.n <= host.n and find_induced(host, h) is not None:
+            rules.append(f"poly:inside-{name}")
             return True
     return False
 
@@ -320,23 +324,21 @@ _FPT_RULES = {"complete": "fpt:ramsey-kernel", "cluster": "fpt:cluster-expansion
               "clique_minus_bipartite": "fpt:clique-minus-bipartite", "gem": "fpt:gem-branching"}
 
 
-def _fpt_family(h: Graph, rules: list[str]) -> bool:
+def _fpt_rule(fam: FamilyMatch, rules: list[str]) -> None:
     """Every family ``recognize_family`` names is FPT once the hardness rules
     have passed: K_r - K_s with r > s >= 4 is a split graph with an induced
     K1,4, so ``w1-hard:four-leaf-star`` takes it first.  An induced subgraph
     of the gem lies inside P6, or it is K3, the diamond, the paw or the gem,
     so no rule beyond the families is needed for it."""
-    fam = recognize_family(h)
-    if fam is None:
-        return False
     if fam.kind == "clique_minus_clique":
         rules.append(f"fpt:clique-minus-K{fam.params[1]}")
     else:
         rules.append(_FPT_RULES[fam.kind])
-    return True
 
 
-def _kernel_axis(h: Graph, complexity: str, rules: list[str]) -> str:
+def _kernel_axis(h: Graph, complexity: str, rules: list[str],
+                 fam: FamilyMatch | None = None) -> str:
+    """The kernel verdict; ``fam`` is H's family when it decided fpt."""
     if complexity == "polynomial":
         rules.append("kernel:trivial-from-polynomial")
         return "poly_kernel"
@@ -348,8 +350,7 @@ def _kernel_axis(h: Graph, complexity: str, rules: list[str]) -> str:
     if no_pk:
         rules.append("no-poly-kernel:join-composition")
 
-    fam = recognize_family(h)
-    if fam is not None and complexity == "fpt":
+    if fam is not None:
         if fam.kind == "complete":
             rules.append("kernel:ramsey")
             return "poly_kernel"
@@ -389,18 +390,20 @@ def verdict(h: HPattern | Graph) -> Verdict:
     if not is_chordal(hg):
         rules.append("w1-hard:non-chordal")
         hard = True
-    elif find_induced(hg, star(4)) is not None:
+    elif find_induced(hg, _K14) is not None:
         rules.append("w1-hard:four-leaf-star")
         hard = True
     elif _contains_two_branching_tree(hg):
         rules.append("w1-hard:two-branching-tree")
         hard = True
-    elif hg.n >= 6 and find_induced(hg, t_spider(1, 2, 2)) is not None:
+    elif hg.n >= 6 and find_induced(hg, _T122) is not None:
         rules.append("w1-hard:spider-1-2-2")
         hard = True
 
-    if not hard and _fpt_family(hg, rules):
-        kernel = _kernel_axis(hg, "fpt", rules)
+    fam = None if hard else recognize_family(hg)
+    if fam is not None:
+        _fpt_rule(fam, rules)
+        kernel = _kernel_axis(hg, "fpt", rules, fam)
         return Verdict("fpt", kernel, tuple(rules))
 
     if not hard and hg.is_connected():

@@ -6,6 +6,20 @@ components with fewer than |H| vertices are skipped, and each remaining
 component is searched on its own; a disconnected H is searched over the
 whole mask.
 
+Before a part's plan is fetched or built, H and G[part] are compared by
+count, the cheap end of Ullmann's refinement and of VF2's look-ahead
+(Cordella et al., IEEE TPAMI 2004): a part with fewer edges or non-edges
+than H, a smaller largest degree or largest non-degree, or, at exactly |H|
+vertices, another degree sequence holds no induced copy of H and is
+skipped.  The counts reuse the part's rows and degree sum, which the
+density choice below needs anyway; a largest (non-)degree is counted only
+when the part's average does not already reach H's.  Only parts that no
+embedding can use are dropped, so the answer and the first embedding found
+are those of the search without the filter, and a pattern that no part can
+hold is never planned.  ``classify.verdict`` asks of every pattern whether
+it lies inside P6 or the claw, and the counts settle most of those
+questions.
+
 Each search backtracks over an ordering of the pattern vertices chosen so
 that each new vertex is constrained by as many already-placed ones as
 possible; the candidate set at every level is a single bitmask
@@ -110,18 +124,44 @@ def _plan(hg: Graph, dense: bool) -> tuple:
     return tuple(order), tuple(constraints), tuple(twin_level), tuple(level_sig), tuple(sig_index)
 
 
-# H's adjacency rows -> whether H is connected, for every pattern asked
-# about; and, per density choice, H's rows -> its plan, for the patterns
-# asked about before.  A plan is nested tuples, which the cyclic garbage
-# collector stops tracking one level per pass, so a cached plan reaches the
-# oldest generation still tracked and brings the next full collection
-# closer; the patterns ``classify.verdict`` relabels on every call are
-# therefore planned and dropped, as before plans were cached.  Both caches
-# are emptied together when the first is full.  A value depends only on
-# its key, so callers racing on an entry at worst build a plan twice.
-_CONNECTED: dict[tuple[int, ...], bool] = {}
+# H's adjacency rows -> its shape (whether it is connected, and its counts),
+# for every pattern asked about; and, per density choice, H's rows -> its
+# plan, for the patterns asked about before.  A plan is nested tuples, which
+# the cyclic garbage collector stops tracking one level per pass, so a
+# cached plan reaches the oldest generation still tracked and brings the
+# next full collection closer; the patterns ``classify.verdict`` relabels on
+# every call are therefore planned and dropped, as before plans were cached.
+# Both caches are emptied together when the first is full.  A value depends
+# only on its key, so callers racing on an entry at worst build a plan twice.
+_SHAPES: dict[tuple[int, ...], tuple] = {}
 _PLANS: tuple[dict[tuple[int, ...], tuple], ...] = ({}, {})
 _CACHE_CAP = 512
+
+
+def _shape(hg: Graph) -> tuple:
+    """Whether H is connected; |H|; twice its edges; its largest degree and
+    largest non-degree; and its sorted degree sequence."""
+    degs = tuple(sorted(map(int.bit_count, hg.adj)))
+    return hg.is_connected(), hg.n, sum(degs), degs[-1], hg.n - 1 - degs[0], degs
+
+
+def _may_hold(rows: list[int], degree_sum: int, shape: tuple) -> bool:
+    """False when G[part], given by its rows and their degree sum, has fewer
+    edges, non-edges, a smaller largest degree or a smaller largest
+    non-degree than H, or another degree sequence at |H| vertices: then no
+    vertex subset of the part induces H.  A largest (non-)degree of the
+    part is counted only when its average does not already reach H's."""
+    _connected, n, h_sum, h_max, h_nonmax, h_degs = shape
+    size = len(rows)
+    non_sum = size * (size - 1) - degree_sum   # twice the part's non-edges
+    if h_sum > degree_sum or n * (n - 1) - h_sum > non_sum:
+        return False
+    if size == n:
+        return tuple(sorted(map(int.bit_count, rows))) == h_degs
+    if h_max * size > degree_sum and max(map(int.bit_count, rows)) < h_max:
+        return False
+    return not (h_nonmax * size > non_sum
+                and size - 1 - min(map(int.bit_count, rows)) < h_nonmax)
 
 
 def _fitting(adj: list[int], part: int, sig: tuple[int, int, bool, bool], vs: int) -> int:
@@ -220,10 +260,10 @@ def find_induced(g: Graph, h: HPattern | Graph, cap: int = PATTERN_CAP,
     pattern-vertex order 0..h.n-1.  Exhaustive: a None answer means no
     vertex subset of g[mask] induces h.  A connected ``h`` is looked for
     one component of g[mask] at a time, in order of their smallest vertex,
-    skipping those with fewer than h.n vertices, each in the edge or
-    non-edge order its own density calls for; a disconnected ``h`` is
-    looked for in g[mask] as a whole.  A mask holding vertices outside
-    V(G) is a ValueError.
+    skipping those with fewer than h.n vertices and those whose counts
+    cannot hold h, each in the edge or non-edge order its own density
+    calls for; a disconnected ``h`` is looked for in g[mask] as a whole.
+    A mask holding vertices outside V(G) is a ValueError.
     """
     hg = h.graph if isinstance(h, HPattern) else h
     if hg.n > cap:
@@ -235,26 +275,33 @@ def find_induced(g: Graph, h: HPattern | Graph, cap: int = PATTERN_CAP,
         return {}
 
     key = tuple(hg.adj)
-    connected = _CONNECTED.get(key)
-    seen = connected is not None
+    shape = _SHAPES.get(key)
+    seen = shape is not None
     if not seen:
-        if len(_CONNECTED) >= _CACHE_CAP:
-            _CONNECTED.clear()
+        if len(_SHAPES) >= _CACHE_CAP:
+            _SHAPES.clear()
             for plans in _PLANS:
                 plans.clear()
-        connected = _CONNECTED[key] = hg.is_connected()
+        shape = _SHAPES[key] = _shape(hg)
     # a pattern seen for the first time is planned at most once per
     # density choice in this call, and its plans are not kept
     plans = _PLANS if seen else ({}, {})
     adj = g.adj
-    if connected:
+    if shape[0]:
         parts = [c for c in g.connected_components(mask) if c.bit_count() >= hg.n]
     else:
         parts = [mask]
     for part in parts:
         size = part.bit_count()
-        rows = adj if part == g.full_mask else [adj[v] & part for v in bits(part)]
+        if part == g.full_mask:
+            rows = adj
+        elif 3 * size >= g.n:   # a scan of every row beats a walk over the part's bits
+            rows = [row & part for v, row in enumerate(adj) if part >> v & 1]
+        else:
+            rows = [adj[v] & part for v in bits(part)]
         degree_sum = sum(map(int.bit_count, rows))
+        if not _may_hold(rows, degree_sum, shape):
+            continue
         dense = degree_sum > size * (size - 1) // 2   # G[part] denser than 1/2
         plan = plans[dense].get(key)
         if plan is None:
@@ -269,10 +316,9 @@ def find_induced(g: Graph, h: HPattern | Graph, cap: int = PATTERN_CAP,
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Graph isomorphism for small graphs, as an equal-size induced embedding."""
-    if g1.n != g2.n or g1.edge_count() != g2.edge_count():
-        return False
-    if sorted(g1.degree(v) for v in range(g1.n)) != sorted(g2.degree(v) for v in range(g2.n)):
+    """Graph isomorphism for small graphs, as an equal-size induced embedding
+    (whose count filter compares the two degree sequences first)."""
+    if g1.n != g2.n:
         return False
     return find_induced(g1, g2, cap=max(g1.n, PATTERN_CAP)) is not None
 

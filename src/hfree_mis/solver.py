@@ -91,8 +91,9 @@ def solve_hfree(g: Graph, k: int, h: HPattern | Graph | str, seed: int = 0,
                 config: SolveConfig | None = None) -> SolveOutcome:
     """Decide whether G has an independent set of size k, given that G is
     H-free for a supported pattern H.  Unsupported patterns raise, never
-    fall back silently.  ``method`` is ``greedy`` or ``exact``, naming the
-    step that decided.  ``seed`` is accepted, as callers that also run
+    fall back silently.  ``method`` names the step that decided:
+    ``component count (P3-free)`` when H is the three-vertex path, else
+    ``greedy`` or ``exact``.  ``seed`` is accepted, as callers that also run
     ``solve_paper`` pass one, but nothing reads it: no step draws random
     numbers."""
     budget = config.budget if config else DEFAULT_BUDGET

@@ -325,3 +325,97 @@ def test_isomorphism_basics():
     assert is_isomorphic(cycle(5), cycle(5))
     assert not is_isomorphic(cycle(5), pattern("P5").graph)
     assert is_isomorphic(pattern("K3-K1,1").graph, pattern("P3").graph)
+
+
+def _with_edges(n, m, rng):
+    """A uniform graph on n vertices with exactly m edges."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, rng.sample(pairs, m))
+
+
+def _capped(n, d, rng):
+    """Random edges added while both ends stay below degree d, so the
+    largest degree is at most d (and mostly exactly d)."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    deg = [0] * n
+    edges = []
+    for u, v in pairs:
+        if deg[u] < d and deg[v] < d and rng.random() < 0.7:
+            edges.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    return Graph(n, edges)
+
+
+# connected and disconnected patterns of three to five vertices
+FILTERED = ("P4", "C4", "claw", "paw", "bull", "K3+K1", "2K2", "P3+K2", "3K1")
+
+
+def test_count_filter_agrees_with_brute_force_at_its_edges(monkeypatch):
+    """The count filter drops a host part before planning when it has fewer
+    edges, non-edges, a smaller largest degree or largest non-degree than
+    H, or, at |H| vertices, another degree sequence.  At those edges (hosts
+    with exactly H's edge count, hosts and masks of exactly |H| vertices,
+    hosts whose largest degree is H's, dense hosts searched in the
+    complement's order, disconnected patterns) the answer is brute force's,
+    and the first embedding is the one found with the filter switched off.
+    Both outcomes of the filter occur in every group."""
+    import hfree_mis.induced as induced
+
+    real = induced._may_hold
+    outcomes = []
+
+    def recording(*args):
+        outcomes.append(real(*args))
+        return outcomes[-1]
+
+    def check(g, h, mask=None):
+        monkeypatch.setattr(induced, "_may_hold", recording)
+        fast = find_induced(g, h, mask=mask)
+        monkeypatch.setattr(induced, "_may_hold", lambda *args: True)
+        assert fast == find_induced(g, h, mask=mask), (g.edges(), h.edges(), mask)
+        monkeypatch.setattr(induced, "_may_hold", real)
+        _check_against_brute_force(g, h, mask)
+
+    rng = random.Random(27)
+    pats = [pattern(name).graph for name in FILTERED]
+    groups = {
+        "equal edges": lambda h: _with_edges(rng.randint(h.n, h.n + 2), h.edge_count(), rng),
+        "|H| vertices": lambda h: random_graph(h.n, rng.random(), rng),
+        "largest degree": lambda h: _capped(rng.randint(h.n, h.n + 3),
+                                            max(h.degree(v) for v in range(h.n)), rng),
+        "dense": lambda h: random_graph(rng.randint(h.n, 8), rng.uniform(0.6, 0.95), rng),
+        "pieces of |H|": lambda h: reduce(disjoint_union, [random_graph(h.n, rng.random(), rng)
+                                                           for _ in range(2)]),
+    }
+    for group, make in groups.items():
+        outcomes.clear()
+        for _ in range(12):
+            for h in pats:
+                g = make(h)
+                check(g, h)
+                check(g, h, rng.getrandbits(g.n))
+        assert True in outcomes and False in outcomes, group
+    # the way classify.verdict asks whether H lies inside P6 or the claw:
+    # seeded relabelled patterns of four to six vertices
+    outcomes.clear()
+    for host in (pattern("P6").graph, pattern("claw").graph):
+        for _ in range(80):
+            h = random_graph(rng.randint(4, 6), rng.choice([0.2, 0.35, 0.5]), rng)
+            if h.n <= host.n:
+                check(host, h)
+    assert True in outcomes and False in outcomes
+
+
+def test_count_filter_rejects_before_planning(monkeypatch):
+    """K4 has more edges than P6, and C4 more than the claw: neither search
+    plans the pattern."""
+    import hfree_mis.induced as induced
+
+    def no_plan(*args):
+        raise AssertionError("planned a pattern the counts exclude")
+
+    monkeypatch.setattr(induced, "_plan", no_plan)
+    assert find_induced(pattern("P6").graph, pattern("K4")) is None
+    assert find_induced(pattern("claw").graph, pattern("C4")) is None
