@@ -293,12 +293,7 @@ def find_induced(g: Graph, h: HPattern | Graph, cap: int = PATTERN_CAP,
         parts = [mask]
     for part in parts:
         size = part.bit_count()
-        if part == g.full_mask:
-            rows = adj
-        elif 3 * size >= g.n:   # a scan of every row beats a walk over the part's bits
-            rows = [row & part for v, row in enumerate(adj) if part >> v & 1]
-        else:
-            rows = [adj[v] & part for v in bits(part)]
+        rows = adj if part == g.full_mask else [adj[v] & part for v in bits(part)]
         degree_sum = sum(map(int.bit_count, rows))
         if not _may_hold(rows, degree_sum, shape):
             continue

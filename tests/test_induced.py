@@ -417,5 +417,9 @@ def test_count_filter_rejects_before_planning(monkeypatch):
         raise AssertionError("planned a pattern the counts exclude")
 
     monkeypatch.setattr(induced, "_plan", no_plan)
+    # empty caches, so that a pattern the counts let through is planned
+    # here whatever earlier tests have cached
+    monkeypatch.setattr(induced, "_SHAPES", {})
+    monkeypatch.setattr(induced, "_PLANS", ({}, {}))
     assert find_induced(pattern("P6").graph, pattern("K4")) is None
     assert find_induced(pattern("claw").graph, pattern("C4")) is None
